@@ -22,16 +22,11 @@ from .analysis import (
 from .core import (
     DEFAULT_DIM_CAP,
     DensityMatrix,
-    Spectrum,
     StructuredUnitary,
     SystemSpec,
     apply_unitary,
     build_hamiltonian,
-    digits_index,
-    eigendecompose_hermitian,
     hamming_weights,
-    index_digits,
-    negate_index,
     partial_trace_to,
     state_eigenvalues,
     von_neumann_entropy,

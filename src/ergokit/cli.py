@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .analysis import Bipartition, min_pt_eigenvalue
@@ -35,7 +36,7 @@ from .families import (
     entangled_pure_state,
     separable_optimal_state,
 )
-from .figures import figure1_rows
+from .figures import Figure1Row, figure1_rows
 from .passivity import ergotropy
 from .protocols import inversion_sequence_to_bias, prepare_locally_thermal
 from .reporting import emit_csv, svg_line_chart
@@ -44,7 +45,7 @@ from .verify import DEFAULT_SEED, format_report, run_suite
 STATE_FAMILIES = ("entangled", "separable", "dicke", "fixed-entropy")
 SWEEP_FAMILIES = STATE_FAMILIES + ("protocol",)
 
-FIGURE1_COLUMNS = ("n", "entangled_ratio", "separable_ratio", "entropy_bound_ratio")
+FIGURE1_COLUMNS = tuple(f.name for f in fields(Figure1Row))
 
 SWEEP_COLUMNS = (
     "family", "n", "beta", "status", "initial_energy", "entropy", "ergotropy",
@@ -98,59 +99,69 @@ def sweep_rows(config: SweepConfig) -> list[dict]:
     rows = []
     for n in config.n_values:
         if config.family == "protocol":
-            rows.extend(_protocol_cells(config, n))
+            beta_prime = config.beta if config.beta_prime is None else config.beta_prime
+            rows.extend(
+                _sweep_cell(config, n, partial(_protocol_values, kind="invert",
+                                               beta_prime=beta_prime, target=target),
+                            target_bias=target)
+                for target in config.target_biases or (0.0,)
+            )
         else:
-            rows.append(_family_cell(config, n))
+            rows.append(_sweep_cell(
+                config, n, partial(_family_values, family=config.family,
+                                   total_entropy=config.total_entropy,
+                                   include_ppt=config.include_ppt)))
     return rows
 
 
-def _base_row(config: SweepConfig, n: int) -> dict:
-    return {"family": config.family, "n": n, "beta": config.beta, "status": "ok"}
-
-
-def _family_cell(config: SweepConfig, n: int) -> dict:
-    row = _base_row(config, n)
+def _sweep_cell(config: SweepConfig, n: int, values, **fixed) -> dict:
+    """One sweep row; the errors of an infeasible cell become its note."""
+    row = {"family": config.family, "n": n, "beta": config.beta, "status": "ok", **fixed}
     try:
         spec = _spec(n, config.d, config.beta, config.local_energies, config.dim_cap)
-        state = build_family_state(spec, config.family, config.total_entropy)
-        entropy = von_neumann_entropy(state)
-        report = ergotropy(state, build_hamiltonian(spec), spec, total_entropy=entropy)
-        row.update(
-            initial_energy=report.initial_energy,
-            entropy=entropy,
-            ergotropy=report.ergotropy,
-            bound_total_energy=report.bound_total_energy,
-            bound_entropy=report.bound_entropy,
-            ratio_to_bound=report.ratio_to_bound,
-        )
-        if config.include_ppt and 2 <= n <= 8:
-            row["ppt_min_eig"] = min_pt_eigenvalue(state, spec, Bipartition.half_split(n))
+        row.update(values(spec))
     except (DomainError, UnsupportedError, CapacityError, InfeasibilityError) as exc:
         row["status"] = "infeasible"
         row["note"] = _note(exc)
     return row
 
 
-def _protocol_cells(config: SweepConfig, n: int) -> list[dict]:
-    cells = []
-    targets = config.target_biases or (0.0,)
-    for target in targets:
-        row = _base_row(config, n)
-        row["target_bias"] = target
-        try:
-            spec = _spec(n, config.d, config.beta, config.local_energies, config.dim_cap)
-            beta_prime = config.beta if config.beta_prime is None else config.beta_prime
-            result = inversion_sequence_to_bias(spec, beta_prime, target)
-            row.update(
-                achieved_bias=result.achieved_bias,
-                residual=result.residual,
-                entropy=von_neumann_entropy(result.state),
-            )
-        except (DomainError, UnsupportedError, CapacityError, InfeasibilityError) as exc:
-            row["status"] = "infeasible"
-            row["note"] = _note(exc)
-        cells.append(row)
-    return cells
+def _family_values(spec: SystemSpec, family: str, total_entropy=None,
+                   include_ppt: bool = False) -> dict:
+    """Energies, entropy, work and bounds of one family state; raises on error."""
+    state = build_family_state(spec, family, total_entropy)
+    entropy = von_neumann_entropy(state)
+    report = ergotropy(state, build_hamiltonian(spec), spec, total_entropy=entropy)
+    values = {
+        "initial_energy": report.initial_energy,
+        "passive_energy": report.passive_energy,
+        "ergotropy": report.ergotropy,
+        "entropy": entropy,
+        "bound_total_energy": report.bound_total_energy,
+        "bound_entropy": report.bound_entropy,
+        "ratio_to_bound": report.ratio_to_bound,
+    }
+    if include_ppt and 2 <= spec.n <= 8:
+        values["ppt_min_eig"] = min_pt_eigenvalue(state, spec, Bipartition.half_split(spec.n))
+    return values
+
+
+def _protocol_values(spec: SystemSpec, kind: str, beta_prime: float, target: float) -> dict:
+    """Outcome of one rotate or invert protocol run; raises on error."""
+    if kind == "rotate":
+        result = prepare_locally_thermal(spec, beta_prime, target)
+        extra = {"angle": result.angle}
+    else:
+        result = inversion_sequence_to_bias(spec, beta_prime, target)
+        extra = {"levels": " ".join(str(l) for l in result.levels) or "(none)"}
+    return {
+        "target_bias": result.target_bias,
+        "achieved_bias": result.achieved_bias,
+        "residual": result.residual,
+        "beta_local": result.beta_local,
+        "entropy": von_neumann_entropy(result.state),
+        **extra,
+    }
 
 
 def _note(exc: Exception) -> str:
@@ -294,44 +305,30 @@ def _outputs(args, rows, columns, series, default_stem: str) -> int:
 
 def _cmd_figure1(args) -> int:
     rows = figure1_rows(args.beta, args.n_max)
-    table = [
-        {
-            "n": r.n,
-            "entangled_ratio": r.entangled_ratio,
-            "separable_ratio": r.separable_ratio,
-            "entropy_bound_ratio": r.entropy_bound_ratio,
-        }
-        for r in rows
-    ]
     ns = [r.n for r in rows]
     series = [
         ("entangled", ns, [r.entangled_ratio for r in rows]),
         ("separable", ns, [r.separable_ratio for r in rows]),
         ("entropy bound", ns, [r.entropy_bound_ratio for r in rows]),
     ]
-    return _outputs(args, table, FIGURE1_COLUMNS, series, "figure1")
+    return _outputs(args, [asdict(r) for r in rows], FIGURE1_COLUMNS, series, "figure1")
+
+
+def _print_values(values: dict):
+    for key, value in values.items():
+        print(f"{key} = {value if not isinstance(value, float) else f'{value:.12g}'}")
 
 
 def _cmd_ergotropy(args) -> int:
     n = int(args.n)
     spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder), args.dim_cap)
-    state = build_family_state(spec, args.family, args.total_entropy)
-    entropy = von_neumann_entropy(state)
-    report = ergotropy(state, build_hamiltonian(spec), spec, total_entropy=entropy)
     values = {
         "family": args.family,
         "n": n,
         "beta": args.beta,
-        "initial_energy": report.initial_energy,
-        "passive_energy": report.passive_energy,
-        "ergotropy": report.ergotropy,
-        "entropy": entropy,
-        "bound_total_energy": report.bound_total_energy,
-        "bound_entropy": report.bound_entropy,
-        "ratio_to_bound": report.ratio_to_bound,
+        **_family_values(spec, args.family, args.total_entropy),
     }
-    for key, value in values.items():
-        print(f"{key} = {value if not isinstance(value, float) else f'{value:.12g}'}")
+    _print_values(values)
     if args.out:
         emit_csv(tuple(values), [values], args.out)
         print(f"wrote {args.out}")
@@ -367,25 +364,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_protocol(args) -> int:
     n = int(args.n)
     spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder), args.dim_cap)
-    if args.kind == "rotate":
-        result = prepare_locally_thermal(spec, args.beta_prime, args.target_bias)
-        extra = {"angle": result.angle}
-    else:
-        result = inversion_sequence_to_bias(spec, args.beta_prime, args.target_bias)
-        extra = {"levels": " ".join(str(l) for l in result.levels) or "(none)"}
-    values = {
+    _print_values({
         "kind": args.kind,
         "n": n,
         "beta_prime": args.beta_prime,
-        "target_bias": result.target_bias,
-        "achieved_bias": result.achieved_bias,
-        "residual": result.residual,
-        "beta_local": result.beta_local,
-        "entropy": von_neumann_entropy(result.state),
-        **extra,
-    }
-    for key, value in values.items():
-        print(f"{key} = {value if not isinstance(value, float) else f'{value:.12g}'}")
+        **_protocol_values(spec, args.kind, args.beta_prime, args.target_bias),
+    })
     return 0
 
 

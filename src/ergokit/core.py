@@ -1,8 +1,8 @@
 """Multi-qudit Hilbert-space algebra.
 
-Basis indexing, Hamiltonian construction, partial trace, entropy,
-eigendecomposition and unitary application for systems of n identical
-d-level subsystems with a non-interacting total Hamiltonian.
+Hamming weights, Hamiltonian construction, partial trace, spectrum,
+entropy and unitary application for systems of n identical d-level
+subsystems with a non-interacting total Hamiltonian.
 
 Conventions
 -----------
@@ -38,7 +38,7 @@ UNITARY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# system specification and basis indexing
+# system specification and Hamming weights
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -95,27 +95,6 @@ class SystemSpec:
                    dim_cap=dim_cap)
 
 
-def index_digits(linear: int, n: int, d: int) -> tuple[int, ...]:
-    """Big-endian digit expansion of a linear basis index."""
-    if not 0 <= linear < d ** n:
-        raise DomainError(f"index {linear} outside [0, {d ** n})")
-    digits = []
-    for _ in range(n):
-        linear, rem = divmod(linear, d)
-        digits.append(rem)
-    return tuple(reversed(digits))
-
-
-def digits_index(digits, d: int) -> int:
-    """Inverse of index_digits."""
-    linear = 0
-    for dig in digits:
-        if not 0 <= dig < d:
-            raise DomainError(f"digit {dig} outside [0, {d})")
-        linear = linear * d + dig
-    return linear
-
-
 @lru_cache(maxsize=None)
 def hamming_weights(n: int) -> np.ndarray:
     """Hamming weight of every linear index of an n-qubit register."""
@@ -124,11 +103,6 @@ def hamming_weights(n: int) -> np.ndarray:
         w = np.concatenate([w, w + 1])
     w.setflags(write=False)
     return w
-
-
-def negate_index(linear: int, n: int) -> int:
-    """Bit-wise negation of an n-qubit basis index."""
-    return ((1 << n) - 1) ^ linear
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +165,6 @@ class DensityMatrix:
     def off_diagonal_max(self) -> float:
         return _off_diagonal_max(self.entries)
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        return self.off_diagonal_max() <= tol
-
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
         pops = np.asarray(populations, dtype=float)
@@ -205,19 +176,6 @@ class DensityMatrix:
     def from_pure(cls, amplitudes) -> "DensityMatrix":
         vec = np.asarray(amplitudes, dtype=complex).ravel()
         return cls(np.outer(vec, vec.conj()))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending, with the tie-break rule recorded."""
-
-    values: np.ndarray
-    note: str = "descending; degenerate values keep ascending solver order"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +278,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = np.clip(lam, 0.0, None)
     nz = lam[lam > 0.0]
     return float(-(nz * np.log(nz)).sum() + 0.0)
-
-
-def eigendecompose_hermitian(rho: DensityMatrix) -> tuple[Spectrum, np.ndarray]:
-    """Full eigendecomposition; eigenvector columns match the descending order."""
-    arr = rho.entries
-    try:
-        if float(np.abs(arr.imag).max()) <= 1e-14:
-            vals, vecs = np.linalg.eigh(arr.real)
-            vecs = vecs.astype(complex)
-        else:
-            vals, vecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(values=vals[order]), vecs[:, order]
 
 
 def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DEFAULT_DIM_CAP, SystemSpec, build_hamiltonian
+from .errors import DomainError
 from .families import gibbs_weighted_superposition
 from .passivity import (
     entropy_constrained_bound,
@@ -36,12 +37,17 @@ class Figure1Row:
 def figure1_rows(beta_e: float = 1.0, n_max: int = 20) -> list[Figure1Row]:
     """One row per ensemble size with the three work ratios."""
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         spec = SystemSpec.qubits(n, beta=beta_e,
                                  dim_cap=max(DEFAULT_DIM_CAP, 2 ** n))
         bound = n * thermal_params(spec).mean_energy
+        if bound == 0.0:
+            raise DomainError(
+                f"total energy n E_beta underflows to 0 at beta E = {beta_e}, "
+                "so the work ratios are undefined"
+            )
         hamiltonian = build_hamiltonian(spec)
         entangled = pure_state_ergotropy(
             gibbs_weighted_superposition(spec), hamiltonian

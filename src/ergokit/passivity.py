@@ -258,15 +258,16 @@ def separable_work_limit(spec: SystemSpec) -> float:
 
     n E_beta - E_1 (1 - 1/Z); valid in the many-subsystem regime
     n >= d - 1, where the d - 1 largest populations fit into the first
-    excited shell.
+    excited shell.  1 - 1/Z is summed as the excited populations, since
+    the subtraction cancels to nothing at large beta.
     """
     if spec.n < spec.d - 1:
         raise DomainError(
             f"formula requires n >= d - 1, got n = {spec.n}, d = {spec.d}"
         )
     params = thermal_params(spec)
-    return spec.n * params.mean_energy - spec.energy_gap * (
-        1.0 - 1.0 / params.partition_function
+    return spec.n * params.mean_energy - spec.energy_gap * math.fsum(
+        params.populations[1:]
     )
 
 

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
 from .families import product_thermal_diagonal, product_thermal_state
-from .passivity import thermal_params
+from .passivity import BETA_MAX_SCALE, thermal_params
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,19 @@ def measure_bias(rho: DensityMatrix, spec: SystemSpec, subsystem: int = 1) -> fl
 
 
 def local_beta_for_bias(spec: SystemSpec, bias: float) -> float:
-    """Inverse temperature whose thermal qubit has the given bias."""
+    """Inverse temperature whose thermal qubit has the given bias.
+
+    |bias| >= 1 returns the signed beta' = infinity sentinel of
+    beta_for_entropy; a zero gap returns 0, since every temperature then
+    gives the same (unbiased) state.
+    """
     _require_qubits(spec)
-    clipped = min(max(bias, -1.0 + 1e-300), 1.0 - 1e-300)
-    return 2.0 / spec.energy_gap * math.atanh(clipped)
+    gap = spec.energy_gap
+    if gap == 0.0:
+        return 0.0
+    if abs(bias) >= 1.0:
+        return math.copysign(BETA_MAX_SCALE / gap, bias)
+    return 2.0 / gap * math.atanh(bias)
 
 
 def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,

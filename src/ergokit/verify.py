@@ -444,7 +444,7 @@ def check_bath_identity(rng):
             prepare_locally_thermal(spec, 2.0, thermal_params(spec).bias).state,
         ]
         if n == 4:
-            states.append(diagonal_state_at_entropy(spec, 1.0)[0])
+            states.extend(diagonal_state_at_entropy(spec, total)[0] for total in (1.0, 1.2))
         for state in states:
             entropy = von_neumann_entropy(state)
             lhs = bath_extractable_work(spec, entropy)
@@ -480,9 +480,10 @@ def check_dicke_work_exact(rng):
     for n in range(1, 13):
         spec = SystemSpec.qubits(n, 1.0)
         ham = build_hamiltonian(spec)
-        state = thermal_state(spec) if n == 1 else dicke_thermal_mixture(spec)
-        gap = abs(ergotropy(state, ham).ergotropy - dicke_mixture_work_formula(spec))
-        assert gap <= 1e-10, f"Dicke mixture work off by {gap} at n={n}"
+        states = [dicke_thermal_mixture(spec)] + ([thermal_state(spec)] if n == 1 else [])
+        for state in states:
+            gap = abs(ergotropy(state, ham).ergotropy - dicke_mixture_work_formula(spec))
+            assert gap <= 1e-10, f"Dicke mixture work off by {gap} at n={n}"
 
 
 def check_energy_count_enumeration(rng):

@@ -1,7 +1,11 @@
+import time
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from ergokit import SystemSpec
+from ergokit.verify import CheckResult, run_suite
 
 _acceptance_lines = []
 
@@ -28,3 +32,19 @@ def rng():
 @pytest.fixture
 def qubit_pair():
     return SystemSpec.qubits(2, 1.0)
+
+
+class VerifyRun(NamedTuple):
+    results: list[CheckResult]
+    seconds: float
+
+    def result(self, name: str) -> CheckResult:
+        return next(r for r in self.results if r.name == name)
+
+
+@pytest.fixture(scope="session")
+def verify_all():
+    """The one timed `run_suite("all")` of a test session; tests read its checks."""
+    start = time.perf_counter()
+    results = run_suite("all")
+    return VerifyRun(results, time.perf_counter() - start)

@@ -1,48 +1,36 @@
 """Acceptance suite: each numbered criterion at its stated tolerance.
 
 The conftest hook prints one [PASS]/[FAIL] line per criterion at the end
-of the run.
+of the run.  Criteria that a named `verify` check states read that check
+from the session's one shared `run_suite("all")`.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 
 from ergokit import (
-    Bipartition,
     SystemSpec,
-    apply_unitary,
-    bath_extractable_work,
-    bias_after_inversion,
     build_hamiltonian,
-    count_global_energies,
     diagonal_state_at_entropy,
-    dicke_mixture_work_formula,
     dicke_thermal_mixture,
     entangled_pure_state,
-    entropy_constrained_bound,
     ergotropy,
-    free_energy,
-    inversion_sequence_to_bias,
-    level_inversion_unitary,
-    measure_bias,
-    min_pt_eigenvalue,
-    npt_witness_half_split,
-    pair_rotation_unitary,
     partial_trace_to,
-    prepare_locally_thermal,
-    product_thermal_state,
-    separable_optimal_state,
     state_eigenvalues,
-    thermal_entropy,
     thermal_params,
     thermal_state,
     von_neumann_entropy,
 )
 from ergokit.figures import figure1_rows
-from ergokit.verify import convexity_gap, mixture_family_samples, run_suite
+from ergokit.verify import convexity_gap, mixture_family_samples
+
+
+def assert_passed(verify_all, *names):
+    for name in names:
+        result = verify_all.result(name)
+        assert result.passed, f"{name}: {result.detail}"
 
 
 def test_criterion_01_figure_reproduction():
@@ -77,76 +65,22 @@ def test_criterion_02_full_extraction_from_pure_state():
     assert elapsed < 30.0, f"dense extraction sweep took {elapsed:.2f} s"
 
 
-def test_criterion_03_rotation_bias_law():
-    beta_prime = 1.0
-    for n in range(2, 9):
-        spec = SystemSpec.qubits(n, 1.0)
-        bias_prime = thermal_params(spec, beta_prime).bias
-        start = product_thermal_state(spec, beta_prime)
-        for alpha in (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
-            state = apply_unitary(start, pair_rotation_unitary(spec, alpha))
-            expected = math.cos(2 * alpha) * bias_prime
-            first = partial_trace_to(state, spec, 1)
-            for k in range(1, n + 1):
-                marginal = partial_trace_to(state, spec, k)
-                bias = float(marginal.diagonal[0] - marginal.diagonal[1])
-                assert abs(bias - expected) <= 1e-12
-                assert float(np.abs(marginal.entries - first.entries).max()) <= 1e-12
+def test_criterion_03_rotation_bias_law(verify_all):
+    assert_passed(verify_all, "protocols/bias-law-grid")
 
 
-def test_criterion_04_entropy_constrained_saturation():
-    beta_prime = 2.0
-    for n in range(1, 9):
-        spec = SystemSpec.qubits(n, 1.0)
-        result = prepare_locally_thermal(spec, beta_prime, thermal_params(spec).bias)
-        work = ergotropy(result.state, build_hamiltonian(spec)).ergotropy
-        bound = entropy_constrained_bound(spec, n * thermal_entropy(spec, beta_prime))
-        assert abs(work - bound) <= 1e-9, f"saturation off by {work - bound} at n={n}"
+def test_criterion_04_entropy_constrained_saturation(verify_all):
+    assert_passed(verify_all, "protocols/entropy-saturation")
 
 
-def test_criterion_05_witness_cross_check():
-    point = npt_witness_half_split(SystemSpec.qubits(2, 1.0), 1.0, math.pi / 4)
-    assert abs(point - 0.128906) <= 1e-6
-    state = apply_unitary(product_thermal_state(SystemSpec.qubits(2, 1.0), 1.0),
-                          pair_rotation_unitary(SystemSpec.qubits(2, 1.0), math.pi / 4))
-    assert min_pt_eigenvalue(state, SystemSpec.qubits(2, 1.0),
-                             Bipartition.half_split(2)) < -1e-10
-
-    for n in (2, 4, 6):
-        spec = SystemSpec.qubits(n, 1.0)
-        split = Bipartition.half_split(n)
-        for beta_prime in (0.5, 1.0, 2.0):
-            start = product_thermal_state(spec, beta_prime)
-            for alpha in np.linspace(0.0, math.pi / 2, 9):
-                witness = npt_witness_half_split(spec, beta_prime, float(alpha))
-                if witness > 1e-9:
-                    state = apply_unitary(start,
-                                          pair_rotation_unitary(spec, float(alpha)))
-                    smallest = min_pt_eigenvalue(state, spec, split)
-                    assert smallest < -1e-10, (
-                        f"witness {witness} positive but PT minimum {smallest}"
-                    )
+def test_criterion_05_witness_cross_check(verify_all):
+    assert_passed(verify_all, "entanglement/witness-point-value",
+                  "entanglement/witness-sign-agreement")
 
 
-def test_criterion_06_inversion_exactness_and_residual():
-    for n in range(2, 13):
-        spec = SystemSpec.qubits(n, 1.0)
-        excited = thermal_params(spec, 1.0).populations[1]
-        start = product_thermal_state(spec, 1.0)
-        for level in range(0, (n + 1) // 2):
-            if level >= n / 2:
-                continue
-            predicted = bias_after_inversion(spec, excited, level)
-            swapped = apply_unitary(start, level_inversion_unitary(spec, level))
-            gap = abs(predicted - measure_bias(swapped, spec))
-            assert gap <= 1e-12, f"inversion off by {gap} at n={n}, level={level}"
-
-    residuals = {}
-    for n in (8, 12):
-        spec = SystemSpec.qubits(n, 1.0)
-        bias_prime = thermal_params(spec, 1.0).bias
-        residuals[n] = inversion_sequence_to_bias(spec, 1.0, -0.9 * bias_prime).residual
-    assert residuals[12] < residuals[8]
+def test_criterion_06_inversion_exactness_and_residual(verify_all):
+    assert_passed(verify_all, "protocols/inversion-formula-exact",
+                  "protocols/inversion-residual-shrinks")
 
 
 def test_criterion_07_fixed_entropy_diagonal_family():
@@ -170,25 +104,12 @@ def test_criterion_07_fixed_entropy_diagonal_family():
             assert work > floor, f"work {work} not above floor {floor}"
 
 
-def test_criterion_08_dicke_mixture_and_counting():
-    for n in range(1, 13):
-        spec = SystemSpec.qubits(n, 1.0)
-        state = dicke_thermal_mixture(spec)
-        gap = abs(ergotropy(state, build_hamiltonian(spec)).ergotropy
-                  - dicke_mixture_work_formula(spec))
-        assert gap <= 1e-10, f"closed form off by {gap} at n={n}"
-        if n == 12:
-            assert int((state_eigenvalues(state) > 1e-12).sum()) == n + 1
-    for n in range(1, 15):
-        spec = SystemSpec.qubits(n, 1.0)
-        correction = (n * thermal_params(spec).mean_energy
-                      - dicke_mixture_work_formula(spec))
-        assert correction < spec.energy_gap
-    for d in range(1, 5):
-        for n in range(1, 7):
-            distinct = {tuple(sorted(digits))
-                        for digits in itertools.product(range(d), repeat=n)}
-            assert count_global_energies(n, d) == len(distinct)
+def test_criterion_08_dicke_mixture_and_counting(verify_all):
+    assert_passed(verify_all, "bounds/dicke-work-exact", "bounds/dicke-correction-monotone",
+                  "bounds/energy-count-enumeration")
+    # the rank needs its own n = 12 solve: no check computes it
+    state = dicke_thermal_mixture(SystemSpec.qubits(12, 1.0))
+    assert int((state_eigenvalues(state) > 1e-12).sum()) == 12 + 1
 
 
 def test_criterion_09_convexity_and_mixture_properties():
@@ -207,39 +128,8 @@ def test_criterion_09_convexity_and_mixture_properties():
             assert entropy > local_entropy + 1e-12
 
 
-def test_criterion_10_bath_bounds_and_verify_runtime():
-    for n in (2, 3, 4):
-        spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
-        reference = free_energy(product_thermal_state(spec), ham, spec.beta)
-        states = [
-            entangled_pure_state(spec),
-            separable_optimal_state(spec),
-            dicke_thermal_mixture(spec),
-            prepare_locally_thermal(spec, 2.0, thermal_params(spec).bias).state,
-        ]
-        if n == 4:
-            states.append(diagonal_state_at_entropy(spec, 1.2)[0])
-        for state in states:
-            entropy = von_neumann_entropy(state)
-            identity_gap = abs(
-                bath_extractable_work(spec, entropy)
-                - (free_energy(state, ham, spec.beta) - reference)
-            )
-            assert identity_gap <= 1e-9, f"bath identity off by {identity_gap}"
-
-    spec = SystemSpec.qubits(4, 1.0)
-    top = 4 * thermal_entropy(spec)
-    for i, total in enumerate(np.linspace(0.0, top, 11)):
-        bath = bath_extractable_work(spec, float(total))
-        isolated = entropy_constrained_bound(spec, float(total))
-        assert bath >= isolated - 1e-12
-        if 0 < i < 10:
-            assert bath > isolated
-
-    start = time.perf_counter()
-    results = run_suite("all")
-    elapsed = time.perf_counter() - start
-    failures = [r for r in results if not r.passed]
+def test_criterion_10_bath_bounds_and_verify_runtime(verify_all):
+    assert_passed(verify_all, "bounds/bath-identity", "bounds/bath-dominates-entropy-bound")
+    failures = [r for r in verify_all.results if not r.passed]
     assert not failures, f"verify-all failures: {[(r.name, r.detail) for r in failures]}"
-    assert elapsed < 300.0, f"verify-all took {elapsed:.1f} s"
+    assert verify_all.seconds < 300.0, f"verify-all took {verify_all.seconds:.1f} s"

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from ergokit import DomainError, cli
 from ergokit.cli import SweepConfig, load_config_file, main, sweep_rows
 from ergokit.figures import figure1_rows
+from ergokit.passivity import BETA_MAX_SCALE
+from ergokit.verify import CheckResult
 from ergokit.reporting import parse_csv
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -30,6 +33,17 @@ def test_figure1_stdout(capsys):
     _, rows = parse_csv(out)
     assert [r["n"] for r in rows] == [1, 2, 3]
     assert rows[2]["separable_ratio"] == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+def test_figure1_domain_errors_exit_2(capsys):
+    with pytest.raises(DomainError):
+        figure1_rows(1.0, 0)
+    # n E_beta underflows to 0, which leaves the ratios undefined
+    with pytest.raises(DomainError):
+        figure1_rows(1e6, 3)
+    assert main(["figure1", "--n-max", "0"]) == 2
+    assert main(["figure1", "--beta", "1e6", "--n-max", "3"]) == 2
+    assert "underflows" in capsys.readouterr().err
 
 
 def test_figure1_files(tmp_path, capsys):
@@ -173,12 +187,45 @@ def test_protocol_unreachable_target(capsys):
                  "--beta-prime", "1.0", "--target-bias", "0.9"]) == 2
 
 
-def test_verify_subcommand(capsys):
+@pytest.mark.parametrize("kind", ["rotate", "invert"])
+def test_protocol_pure_target_reports_beta_sentinel(kind, capsys):
+    assert main(["protocol", "--kind", kind, "--n", "3",
+                 "--beta-prime", "100", "--target-bias", "1.0"]) == 0
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.strip().splitlines())
+    assert float(values["beta_local"]) == BETA_MAX_SCALE
+
+
+@pytest.mark.parametrize("kind", ["rotate", "invert"])
+def test_protocol_zero_gap_ladder(kind, capsys):
+    assert main(["protocol", "--kind", kind, "--n", "3", "--beta-prime", "1.0",
+                 "--energy-ladder", "0,0"]) == 0
+    values = dict(line.split(" = ")
+                  for line in capsys.readouterr().out.strip().splitlines())
+    assert float(values["beta_local"]) == 0.0
+
+
+def test_verify_subcommand(monkeypatch, capsys, verify_all):
+    # the checks themselves run once, in the session's shared verify run; the
+    # entanglement checks draw no random numbers, so that run stands for seed 7
+    calls = []
+
+    def shared_run(suite, seed):
+        calls.append((suite, seed))
+        return [r for r in verify_all.results if r.name.startswith(f"{suite}/")]
+
+    monkeypatch.setattr(cli, "run_suite", shared_run)
     assert main(["verify", "--suite", "entanglement", "--seed", "7"]) == 0
+    assert calls == [("entanglement", 7)]
     out = capsys.readouterr().out
     assert "seed = 7" in out
     assert "[PASS] entanglement/witness-point-value" in out
     assert "0 failed" in out
+
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
+        CheckResult(name="bounds/broken", passed=False, detail="boom", seconds=0.0)])
+    assert main(["verify", "--suite", "bounds"]) == 1
+    assert "[FAIL] bounds/broken (0.00 s)  boom" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hilbert-space algebra: indexing, Hamiltonians, traces, entropy, unitaries."""
+"""Hilbert-space algebra: Hamming weights, Hamiltonians, traces, spectra, entropy, unitaries."""
 
 import math
 
@@ -10,20 +10,16 @@ from ergokit import (
     DensityMatrix,
     DomainError,
     ShapeError,
-    Spectrum,
     StructuredUnitary,
     SystemSpec,
     ValidityError,
     apply_unitary,
     build_hamiltonian,
-    digits_index,
     dicke_thermal_mixture,
-    eigendecompose_hermitian,
     entangled_pure_state,
     hamming_weights,
-    index_digits,
-    negate_index,
     partial_trace_to,
+    state_eigenvalues,
     product_thermal_state,
     thermal_state,
     von_neumann_entropy,
@@ -40,7 +36,7 @@ def bell_state() -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# SystemSpec and indexing
+# SystemSpec and Hamming weights
 # ---------------------------------------------------------------------------
 
 def test_spec_rejects_bad_parameters():
@@ -63,21 +59,12 @@ def test_dim_cap_is_configurable():
     assert spec.dim == 32768
 
 
-def test_index_digits_round_trip():
-    for linear in range(27):
-        digits = index_digits(linear, 3, 3)
-        assert digits_index(digits, 3) == linear
-    assert index_digits(0b101, 3, 2) == (1, 0, 1)
-    # big-endian: subsystem 1 is the most significant digit
-    assert digits_index((1, 0, 0), 2) == 4
-
-
 def test_hamming_weights_and_negation():
     w = hamming_weights(4)
     assert [w[0], w[1], w[15]] == [0, 1, 4]
     assert w.sum() == 4 * 2 ** 3
     for i in range(16):
-        assert w[i] + w[negate_index(i, 4)] == 4
+        assert w[i] + w[(2 ** 4 - 1) ^ i] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +92,7 @@ def test_hamiltonian_generic_ladder():
     spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.5), beta=1.0)
     ham = build_hamiltonian(spec)
     for linear in range(9):
-        digits = index_digits(linear, 2, 3)
+        digits = np.unravel_index(linear, (3,) * 2)
         assert ham[linear] == sum(spec.local_energies[a] for a in digits)
 
 
@@ -199,46 +186,26 @@ def test_product_entropy_is_additive():
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
+# spectra
 # ---------------------------------------------------------------------------
 
 def test_eigendecompose_diagonal():
     rho = DensityMatrix(np.diag([0.1, 0.9]).astype(complex))
-    spectrum, _ = eigendecompose_hermitian(rho)
-    np.testing.assert_allclose(spectrum.values, [0.9, 0.1], atol=1e-14)
+    np.testing.assert_allclose(state_eigenvalues(rho), [0.9, 0.1], atol=1e-14)
 
 
 def test_eigendecompose_rank_one():
-    spectrum, _ = eigendecompose_hermitian(bell_state())
-    np.testing.assert_allclose(spectrum.values, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(state_eigenvalues(bell_state()), [1.0, 0.0, 0.0, 0.0],
+                               atol=1e-12)
 
 
 def test_eigendecompose_dicke_mixture_spectrum():
     spec = SystemSpec.qubits(2, 1.0)
-    spectrum, _ = eigendecompose_hermitian(dicke_thermal_mixture(spec))
+    values = state_eigenvalues(dicke_thermal_mixture(spec))
     exact = sorted([(1 - P1) ** 2, 2 * P1 * (1 - P1), P1 ** 2, 0.0], reverse=True)
-    np.testing.assert_allclose(spectrum.values, exact, atol=1e-12)
-    np.testing.assert_allclose(
-        spectrum.values, [0.534447, 0.393224, 0.072329, 0.0], atol=1e-6
-    )
-    assert abs(spectrum.values.sum() - 1.0) <= 1e-10
-
-
-def test_eigendecompose_round_trip(rng):
-    for dim in (4, 8):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = DensityMatrix((g @ g.conj().T) / np.trace(g @ g.conj().T))
-        spectrum, vecs = eigendecompose_hermitian(rho)
-        rebuilt = vecs @ np.diag(spectrum.values) @ vecs.conj().T
-        assert float(np.abs(rebuilt - rho.entries).max()) <= 1e-9
-        gram = vecs.conj().T @ vecs
-        assert float(np.abs(gram - np.eye(dim)).max()) <= 1e-9
-        assert np.all(np.diff(spectrum.values) <= 1e-14)
-
-
-def test_spectrum_records_tie_break_rule():
-    spectrum = Spectrum(values=np.array([0.5, 0.5]))
-    assert "descending" in spectrum.note
+    np.testing.assert_allclose(values, exact, atol=1e-12)
+    np.testing.assert_allclose(values, [0.534447, 0.393224, 0.072329, 0.0], atol=1e-6)
+    assert abs(values.sum() - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

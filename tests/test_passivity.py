@@ -263,9 +263,10 @@ def test_entropy_bound_two_qubit_value():
 
 
 def test_separable_limit_ratio_identity_for_qubits():
-    # W_sep / (n E_beta) = 1 - 1/n: E_beta = p E and 1 - 1/Z = p cancel exactly
+    # W_sep / (n E_beta) = 1 - 1/n: E_beta = p E and 1 - 1/Z = p cancel exactly;
+    # at beta E >= 39 the subtraction 1 - 1/Z itself would round to 0
     for n in range(1, 11):
-        for beta in (0.3, 1.0, 2.5):
+        for beta in (0.3, 1.0, 2.5, 30.0, 40.0):
             spec = SystemSpec.qubits(n, beta, energy=1.3)
             params = thermal_params(spec)
             ratio = separable_work_limit(spec) / (n * params.mean_energy)

@@ -19,7 +19,6 @@ from ergokit import (
     inversion_sequence_to_bias,
     level_inversion_unitary,
     measure_bias,
-    negate_index,
     pair_rotation_unitary,
     partial_trace_to,
     prepare_locally_thermal,
@@ -55,7 +54,7 @@ def test_odd_n_rotation_count_and_pairing():
     assert len(unitary.rotations) == 4  # 2^(n-1)
     weights = hamming_weights(3)
     for a, b, _ in unitary.rotations:
-        assert b == negate_index(a, 3)
+        assert b == (2 ** 3 - 1) ^ a
         assert weights[a] < 1.5
 
 
