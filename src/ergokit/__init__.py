@@ -44,7 +44,6 @@ from .errors import (
 )
 from .families import (
     DiagonalFamilyParams,
-    DickeIndexSet,
     diagonal_state_at_entropy,
     dicke_index_set,
     dicke_thermal_mixture,
@@ -64,7 +63,6 @@ from .passivity import (
     ergotropy,
     is_passive,
     passive_state,
-    pure_state_ergotropy,
     separable_work_limit,
     thermal_entropy,
     thermal_params,

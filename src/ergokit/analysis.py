@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, SystemSpec, partial_trace_to, von_neumann_entropy
+from .core import (DensityMatrix, SystemSpec, _block_eigenvalues, partial_trace_to,
+                   von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError
-from .passivity import thermal_entropy, thermal_params
+from .passivity import ergotropy, thermal_entropy, thermal_params
 
 NPT_EIGENVALUE_TOL = -1e-10
 
@@ -74,7 +75,8 @@ def partial_transpose(rho: DensityMatrix, spec: SystemSpec,
 
 def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
                       part: Bipartition) -> float:
-    return float(np.linalg.eigvalsh(partial_transpose(rho, spec, part)).min())
+    """Smallest eigenvalue of the partial transpose, solved block by block."""
+    return float(_block_eigenvalues(partial_transpose(rho, spec, part)).min())
 
 
 def entanglement_verdict(rho: DensityMatrix, spec: SystemSpec, part: Bipartition,
@@ -106,12 +108,7 @@ def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
     """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
     if beta <= 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
-    energies = np.asarray(hamiltonian, dtype=float).ravel()
-    if energies.size != rho.dim:
-        raise ShapeError(
-            f"Hamiltonian length {energies.size} does not match state dimension {rho.dim}"
-        )
-    return float(rho.diagonal @ energies) - von_neumann_entropy(rho) / beta
+    return ergotropy(rho, hamiltonian).initial_energy - von_neumann_entropy(rho) / beta
 
 
 def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:
@@ -125,7 +122,7 @@ def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:
         raise DomainError("the bath bound requires a positive inverse temperature")
     s = float(total_entropy)
     s_top = spec.n * thermal_entropy(spec)
-    if s < -1e-12 or s > s_top + 1e-9:
+    if not -1e-12 <= s <= s_top + 1e-9:
         raise DomainError(f"total entropy {s} outside [0, n S(tau_beta) = {s_top!r}]")
     return (s_top - s) / spec.beta
 

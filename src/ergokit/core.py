@@ -4,6 +4,9 @@ Hamming weights, Hamiltonian construction, partial trace, spectrum,
 entropy and unitary application for systems of n identical d-level
 subsystems with a non-interacting total Hamiltonian.
 
+The spectrum is solved one connected block of the nonzero pattern at a
+time and cached on the frozen DensityMatrix, so each state is solved once.
+
 Conventions
 -----------
 * The local energy ladder starts at zero and is non-decreasing.
@@ -16,8 +19,9 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -69,8 +73,8 @@ class SystemSpec:
             )
         if energies[0] != 0.0:
             raise DomainError(f"ground energy must be zero, got {energies[0]}")
-        if any(b < a for a, b in zip(energies, energies[1:])):
-            raise DomainError(f"local energies must be non-decreasing: {energies}")
+        if not all(a <= b < math.inf for a, b in zip(energies, energies[1:])):
+            raise DomainError(f"local energies must be finite and non-decreasing: {energies}")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise DomainError(f"inverse temperature must be finite and >= 0, got {self.beta}")
         if self.d ** self.n > self.dim_cap:
@@ -110,13 +114,13 @@ def hamming_weights(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _hermiticity_defect(arr: np.ndarray, block: int = 1024) -> float:
-    # blockwise to bound temporary memory at large dimension
+    # blockwise to bound temporary memory; NaN or inf entries give NaN
     worst = 0.0
-    dim = arr.shape[0]
-    for lo in range(0, dim, block):
-        hi = min(lo + block, dim)
-        worst = max(worst, float(np.abs(arr[lo:hi, :] - arr[:, lo:hi].conj().T).max()))
-    return worst
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, arr.shape[0], block):
+            hi = lo + block
+            worst = np.maximum(worst, np.abs(arr[lo:hi, :] - arr[:, lo:hi].conj().T).max())
+    return float(worst)
 
 
 def _off_diagonal_max(arr: np.ndarray, block: int = 1024) -> float:
@@ -134,22 +138,23 @@ def _off_diagonal_max(arr: np.ndarray, block: int = 1024) -> float:
 class DensityMatrix:
     """Dense Hermitian, unit-trace operator on the global space.
 
-    Hermiticity and trace are verified at construction; positivity is
-    verified wherever eigenvalues are computed (negative eigenvalues
-    below -1e-10 raise, anything above is clipped to zero).
+    Finite entries, Hermiticity and trace are verified at construction;
+    positivity is verified wherever eigenvalues are computed (negative
+    eigenvalues below -1e-10 raise, anything above is clipped to zero).
     """
 
     entries: np.ndarray
+    _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex, copy=True, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
         defect = _hermiticity_defect(arr)
-        if defect > HERMITICITY_TOL:
-            raise ValidityError(f"matrix is not Hermitian (defect {defect:.3e})")
+        if not defect <= HERMITICITY_TOL:
+            raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
         trace = float(arr.trace().real)
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValidityError(f"trace must be 1, got {trace!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -250,32 +255,81 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
     return DensityMatrix(reduced)
 
 
-def state_eigenvalues(rho: DensityMatrix, validate: bool = True) -> np.ndarray:
-    """Eigenvalues of a density matrix, sorted descending.
+def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian array, unsorted, one connected block at a time.
 
-    Exactly diagonal matrices bypass the dense eigensolver; real symmetric
-    input uses the real LAPACK path.
+    Blocks are the connected components of the nonzero pattern (i and j are
+    linked when arr[i, j] or arr[j, i] is nonzero); isolated indices take
+    their diagonal entry, equal-size blocks share one solver call and a
+    block covering every index is solved in place.
     """
-    if rho.off_diagonal_max() == 0.0:
-        vals = rho.diagonal
-    else:
-        arr = rho.entries
-        try:
-            if float(np.abs(arr.imag).max()) <= 1e-14:
-                vals = np.linalg.eigvalsh(arr.real)
-            else:
-                vals = np.linalg.eigvalsh(arr)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    if validate and float(vals.min()) < -PSD_TOL:
-        raise ValidityError(f"state has eigenvalue {float(vals.min()):.3e} below -{PSD_TOL}")
-    return np.sort(vals)[::-1].copy()
+    linked = arr != 0
+    if linked.all():  # one block, found without scanning the pattern
+        return _eigvalsh(arr)
+    np.fill_diagonal(linked, False)
+    members = np.flatnonzero(linked.any(axis=1) | linked.any(axis=0))
+    labels = _component_labels(linked, members)
+    values = [np.delete(arr.diagonal().real, members)]
+    order = np.argsort(labels, kind="stable")  # members of a component are contiguous
+    sizes = np.bincount(labels)[labels[order]]
+    for size in np.unique(sizes):
+        if size == arr.shape[0]:
+            return _eigvalsh(arr)
+        index = members[order[sizes == size]].reshape(-1, size)
+        blocks = arr[index[:, :, None], index[:, None, :]]
+        complex_ = blocks.imag.any(axis=(1, 2))
+        values += [_eigvalsh(blocks[~complex_]), _eigvalsh(blocks[complex_])]
+    return np.concatenate(values)
+
+
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Hermitian blocks, by the real solver if all are real."""
+    try:
+        return np.linalg.eigvalsh(stack if stack.imag.any() else stack.real).ravel()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def _component_labels(linked: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per member, the smallest index in its component (min-label propagation).
+
+    Member row slabs of at most 2^20 entries pass labels along their links
+    both ways, so the one dim x dim mask is never transposed.
+    """
+    dim = linked.shape[0]
+    step = max(1, (1 << 20) // dim)
+    labels = np.arange(dim)
+    while True:
+        hooked = labels.copy()
+        for lo in range(0, members.size, step):
+            rows = members[lo:lo + step]
+            slab = linked[rows]
+            hooked[rows] = np.minimum(hooked[rows], np.where(slab, labels, dim).min(axis=1))
+            np.minimum(hooked, np.where(slab, labels[rows, None], dim).min(axis=0), out=hooked)
+        hooked = hooked[hooked]  # pointer jumping
+        if np.array_equal(hooked, labels):
+            return labels[members]
+        labels = hooked
+
+
+def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of a density matrix, sorted descending, as a read-only array.
+
+    Solved on the first call and cached on the state, so entropy, ergotropy
+    and the passive state of one state share one solve.
+    """
+    if rho._spectrum is None:
+        vals = np.sort(_block_eigenvalues(rho.entries))[::-1]
+        if vals[-1] < -PSD_TOL:
+            raise ValidityError(f"state has eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
+        vals.setflags(write=False)
+        object.__setattr__(rho, "_spectrum", vals)
+    return rho._spectrum
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * ln lam) in nats, with 0 ln 0 = 0."""
     lam = state_eigenvalues(rho)
-    lam = np.clip(lam, 0.0, None)
     nz = lam[lam > 0.0]
     return float(-(nz * np.log(nz)).sum() + 0.0)
 

@@ -26,19 +26,6 @@ GAMMA_BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DickeIndexSet:
-    """All n-qubit basis indices with a given excitation count, ascending."""
-
-    k: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
 class DiagonalFamilyParams:
     """Weights of the fixed-entropy diagonal family.
 
@@ -54,11 +41,13 @@ class DiagonalFamilyParams:
     shell_excitations: int
 
 
-def dicke_index_set(n: int, k: int) -> DickeIndexSet:
+def dicke_index_set(n: int, k: int) -> np.ndarray:
+    """All n-qubit basis indices with k excitations, ascending and read-only."""
     if not 0 <= k <= n:
         raise DomainError(f"excitation count {k} outside [0, {n}]")
-    idx = np.nonzero(hamming_weights(n) == k)[0]
-    return DickeIndexSet(k=k, indices=idx)
+    indices = np.flatnonzero(hamming_weights(n) == k)
+    indices.setflags(write=False)
+    return indices
 
 
 def gibbs_weighted_superposition(spec: SystemSpec) -> np.ndarray:
@@ -127,7 +116,7 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
     rows = np.zeros((n + 1, spec.dim))
     for k in range(n + 1):
         amp = math.sqrt(p ** k * (1.0 - p) ** (n - k))
-        rows[k, dicke_index_set(n, k).indices] = amp
+        rows[k, dicke_index_set(n, k)] = amp
     return DensityMatrix(rows.T @ rows)
 
 
@@ -137,7 +126,7 @@ def smallest_shell_for_entropy(n: int, entropy: float) -> int:
     Beyond n//2 the binomial coefficients repeat by symmetry, so a larger
     shell can never help.
     """
-    if entropy < 0.0:
+    if not entropy >= 0.0:
         raise DomainError(f"entropy must be nonnegative, got {entropy}")
     for shell in range(0, n // 2 + 1):
         if math.log(math.comb(n, shell)) >= entropy:
@@ -178,7 +167,7 @@ def diagonal_state_at_entropy(
     n = spec.n
     p = thermal_params(spec).populations[1]
     s_local = thermal_entropy(spec)
-    if s < s_local - 1e-9:
+    if not s >= s_local - 1e-9:
         raise DomainError(
             f"global entropy {s} below the locally thermal minimum {s_local!r}"
         )
@@ -211,7 +200,7 @@ def diagonal_state_at_entropy(
     diag[0] += ground
     diag[-1] += top
     if gamma > 0.0:
-        diag[dicke_index_set(n, shell).indices] += gamma / shell_size
+        diag[dicke_index_set(n, shell)] += gamma / shell_size
     params = DiagonalFamilyParams(
         ground_weight=ground,
         top_weight=top,

@@ -2,24 +2,22 @@
 
 For n = 1..n_max at fixed beta * E, computes extractable work in units of
 the total initial energy n E_beta for
-* the locally thermal entangled pure state (ratio 1 by construction),
+* the locally thermal entangled pure state (ratio 1: a pure state's passive energy is 0),
 * the optimal separable (diagonal) state, and
 * the entropy-constrained bound at the separable state's entropy.
 
-The pure-state ratio is evaluated through the scalable amplitude-vector
-route, so n beyond the dense-matrix cap is fine.
+Each column is a closed form or a scalar bisection; no state is built, so
+n far beyond the dense-matrix cap is fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_DIM_CAP, SystemSpec, build_hamiltonian
+from .core import DEFAULT_DIM_CAP, SystemSpec
 from .errors import DomainError
-from .families import gibbs_weighted_superposition
 from .passivity import (
     entropy_constrained_bound,
-    pure_state_ergotropy,
     separable_work_limit,
     thermal_entropy,
     thermal_params,
@@ -48,15 +46,11 @@ def figure1_rows(beta_e: float = 1.0, n_max: int = 20) -> list[Figure1Row]:
                 f"total energy n E_beta underflows to 0 at beta E = {beta_e}, "
                 "so the work ratios are undefined"
             )
-        hamiltonian = build_hamiltonian(spec)
-        entangled = pure_state_ergotropy(
-            gibbs_weighted_superposition(spec), hamiltonian
-        ).ergotropy
         separable = separable_work_limit(spec)
         entropy_bound = entropy_constrained_bound(spec, thermal_entropy(spec))
         rows.append(Figure1Row(
             n=n,
-            entangled_ratio=entangled / bound,
+            entangled_ratio=1.0,
             separable_ratio=separable / bound,
             entropy_bound_ratio=entropy_bound / bound,
         ))

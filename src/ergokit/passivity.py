@@ -3,8 +3,9 @@
 The central quantity is the ergotropy of a state rho under a diagonal
 Hamiltonian H: the energy gap between rho and its passive counterpart,
 obtained by placing the eigenvalues of rho, sorted descending, onto the
-energy levels sorted ascending.  Thermal (Gibbs) states are the completely
-passive reference; the entropy-constrained bound is evaluated by inverting
+energy levels sorted ascending; the spectrum comes from `state_eigenvalues`,
+solved once per state.  Thermal (Gibbs) states are the completely passive
+reference; the entropy-constrained bound is evaluated by inverting
 the thermal-entropy map with a bisection.
 """
 
@@ -140,39 +141,6 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
     )
 
 
-def pure_state_ergotropy(amplitudes, hamiltonian,
-                         spec: Optional[SystemSpec] = None) -> WorkReport:
-    """Ergotropy of a pure state given by its amplitude vector.
-
-    The spectrum of a pure state is (1, 0, ..., 0), so its passive energy
-    is the smallest level and no dense eigensolve is needed.  This is the
-    scalable route for states too large to materialize as matrices.
-    """
-    vec = np.asarray(amplitudes, dtype=complex).ravel()
-    energies = np.asarray(hamiltonian, dtype=float).ravel()
-    if vec.size != energies.size:
-        raise ShapeError(
-            f"amplitude vector length {vec.size} does not match H length {energies.size}"
-        )
-    norm = float((np.abs(vec) ** 2).sum())
-    if abs(norm - 1.0) > 1e-10:
-        raise DomainError(f"amplitudes must be normalized, got norm^2 = {norm!r}")
-    initial = float((np.abs(vec) ** 2) @ energies)
-    passive = float(energies.min())
-    bound_total = ratio = None
-    if spec is not None:
-        bound_total = spec.n * thermal_params(spec).mean_energy
-        if bound_total > 0.0:
-            ratio = (initial - passive) / bound_total
-    return WorkReport(
-        initial_energy=initial,
-        passive_energy=passive,
-        ergotropy=initial - passive,
-        bound_total_energy=bound_total,
-        ratio_to_bound=ratio,
-    )
-
-
 def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
     """True iff rho is diagonal with populations non-increasing in energy.
 
@@ -206,7 +174,7 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     """
     s = float(entropy_per_subsystem)
     s_max = math.log(spec.d)
-    if s < -ENTROPY_BISECTION_TOL or s > s_max + ENTROPY_BISECTION_TOL:
+    if not -ENTROPY_BISECTION_TOL <= s <= s_max + ENTROPY_BISECTION_TOL:
         raise DomainError(
             f"entropy per subsystem {s} outside [0, ln d = {s_max!r}]"
         )
@@ -244,7 +212,7 @@ def entropy_constrained_bound(spec: SystemSpec, total_entropy: float) -> float:
     per-subsystem entropy is total_entropy / n.
     """
     s = float(total_entropy)
-    if s < -1e-12 or s > spec.n * math.log(spec.d) + 1e-9:
+    if not -1e-12 <= s <= spec.n * math.log(spec.d) + 1e-9:
         raise DomainError(
             f"total entropy {s} outside [0, n ln d = {spec.n * math.log(spec.d)!r}]"
         )

@@ -28,7 +28,7 @@ from .core import (
     partial_trace_to,
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
-from .families import product_thermal_diagonal, product_thermal_state
+from .families import dicke_index_set, product_thermal_diagonal, product_thermal_state
 from .passivity import BETA_MAX_SCALE, thermal_params
 
 
@@ -76,8 +76,8 @@ def level_inversion_unitary(spec: SystemSpec, level: int) -> StructuredUnitary:
     if not 0 <= level < spec.n / 2:
         raise DomainError(f"level {level} outside [0, n/2) for n = {spec.n}")
     mask = spec.dim - 1
-    indices = np.nonzero(hamming_weights(spec.n) == level)[0]
-    rotations = tuple((int(i), mask ^ int(i), math.pi / 2) for i in indices)
+    rotations = tuple((int(i), mask ^ int(i), math.pi / 2)
+                      for i in dicke_index_set(spec.n, level))
     return StructuredUnitary(rotations=rotations, dim=spec.dim)
 
 
@@ -115,7 +115,7 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
     """
     _require_qubits(spec)
     bias_prime = thermal_params(spec, beta_prime).bias
-    if abs(target_bias) > bias_prime + 1e-12:
+    if not abs(target_bias) <= bias_prime + 1e-12:
         raise UnreachableBiasError(
             f"target bias {target_bias} exceeds the reachable range "
             f"[-{bias_prime!r}, {bias_prime!r}]"
@@ -170,7 +170,7 @@ def _diagonal_bias(diag: np.ndarray, n: int) -> float:
 def _invert_shell(diag: np.ndarray, n: int, level: int) -> np.ndarray:
     out = diag.copy()
     mask = (1 << n) - 1
-    idx = np.nonzero(hamming_weights(n) == level)[0]
+    idx = dicke_index_set(n, level)
     out[idx], out[mask ^ idx] = diag[mask ^ idx], diag[idx]
     return out
 
@@ -188,7 +188,7 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     _require_qubits(spec)
     params = thermal_params(spec, beta_prime)
     bias_prime = params.bias
-    if abs(target_bias) > bias_prime + 1e-12:
+    if not abs(target_bias) <= bias_prime + 1e-12:
         raise UnreachableBiasError(
             f"target bias {target_bias} exceeds the reachable range "
             f"[-{bias_prime!r}, {bias_prime!r}]"

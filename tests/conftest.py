@@ -1,11 +1,23 @@
+import os
+import tempfile
 import time
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ergokit import SystemSpec
 from ergokit.verify import CheckResult, run_suite
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic; hypothesis still caches the
+# constants it reads from the source, so its storage goes to the temp dir
+# rather than a .hypothesis/ directory in the checkout
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "ergokit-hypothesis"))
+settings.register_profile("ergokit", derandomize=True, deadline=None, database=None)
+settings.load_profile("ergokit")
 
 _acceptance_lines = []
 

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, config file, CSV output."""
 
 import math
+import time
 
 import pytest
 
@@ -25,6 +26,14 @@ def test_figure1_rows_reference_points():
     for row in rows:
         assert abs(row.entangled_ratio - 1.0) <= 1e-10
     assert abs(rows[1].entropy_bound_ratio - 0.683) <= 3e-3
+
+
+def test_figure1_rows_build_no_state():
+    # every column is a closed form: a 2^60-entry state would not fit in memory
+    start = time.perf_counter()
+    rows = figure1_rows(1.0, 60)
+    assert time.perf_counter() - start < 1.0
+    assert rows[-1].n == 60 and rows[-1].entangled_ratio == 1.0
 
 
 def test_figure1_stdout(capsys):
@@ -78,6 +87,13 @@ def test_ergotropy_separable_single_subsystem_usage_error(capsys):
     code = main(["ergotropy", "--family", "separable", "--n", "1"])
     assert code == 2
     assert "n >= 2" in capsys.readouterr().err
+
+
+def test_ergotropy_non_finite_ladder_exit_2(capsys):
+    code = main(["ergotropy", "--family", "separable", "--n", "2",
+                 "--energy-ladder", "0,nan"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_ergotropy_infeasible_entropy_exit_code(capsys):
@@ -185,6 +201,9 @@ def test_protocol_invert(capsys):
 def test_protocol_unreachable_target(capsys):
     assert main(["protocol", "--kind", "rotate", "--n", "2",
                  "--beta-prime", "1.0", "--target-bias", "0.9"]) == 2
+    for kind in ("rotate", "invert"):
+        assert main(["protocol", "--kind", kind, "--n", "3",
+                     "--beta-prime", "1.0", "--target-bias", "nan"]) == 2
 
 
 @pytest.mark.parametrize("kind", ["rotate", "invert"])

@@ -48,6 +48,9 @@ def test_spec_rejects_bad_parameters():
         SystemSpec(n=2, d=2, local_energies=(0.5, 1.0), beta=1.0)
     with pytest.raises(DomainError):
         SystemSpec(n=2, d=3, local_energies=(0.0, 2.0, 1.0), beta=1.0)
+    for ladder in ((0.0, math.nan), (0.0, math.inf), (0.0, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            SystemSpec(n=2, d=len(ladder), local_energies=ladder, beta=1.0)
     with pytest.raises(DomainError):
         SystemSpec.qubits(2, -0.5)
     with pytest.raises(CapacityError):
@@ -273,6 +276,13 @@ def test_density_matrix_rejects_nonhermitian():
     bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(ValidityError):
         DensityMatrix(bad)
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[0.5, math.inf], [math.inf, 0.5]],
+                [[0.5, 0.0], [0.0, 0.5 + 1j * math.nan]]):
+        with pytest.raises(ValidityError):
+            DensityMatrix(np.array(bad, dtype=complex))
 
 
 def test_density_matrix_rejects_wrong_trace():

@@ -155,8 +155,9 @@ def test_product_thermal_energy_and_entropy_additive():
 
 def test_dicke_index_set_contents():
     shell = dicke_index_set(4, 2)
-    assert list(shell.indices) == [3, 5, 6, 9, 10, 12]
-    assert len(shell.indices) == math.comb(4, 2)
+    assert list(shell) == [3, 5, 6, 9, 10, 12]
+    assert len(shell) == math.comb(4, 2)
+    assert not shell.flags.writeable
     with pytest.raises(DomainError):
         dicke_index_set(4, 5)
 

@@ -19,13 +19,13 @@ from ergokit import (
     is_passive,
     passive_state,
     product_thermal_state,
-    pure_state_ergotropy,
     separable_optimal_state,
     separable_work_limit,
     thermal_entropy,
     thermal_params,
     thermal_state,
 )
+from ergokit.figures import figure1_rows
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -152,13 +152,16 @@ def test_ergotropy_diagonal_matches_permutation_oracle(rng):
 
 
 def test_pure_state_route_matches_dense_route():
+    # figure1's closed form: a pure state's passive energy is the ground
+    # energy 0, so its work is n E_beta and its ratio 1
+    rows = figure1_rows(1.0, 4)
     for n in (2, 3, 4):
         spec = SystemSpec.qubits(n, 1.0)
         ham = build_hamiltonian(spec)
         vec = gibbs_weighted_superposition(spec)
-        fast = pure_state_ergotropy(vec, ham, spec)
         dense = ergotropy(DensityMatrix.from_pure(vec), ham, spec)
-        assert abs(fast.ergotropy - dense.ergotropy) <= 1e-10
+        assert abs(dense.passive_energy) <= 1e-12
+        assert abs(rows[n - 1].entangled_ratio - dense.ratio_to_bound) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,10 @@ def test_beta_for_entropy_domain_errors():
         beta_for_entropy(spec, -0.05)
     with pytest.raises(DomainError):
         beta_for_entropy(spec, math.log(2.0) + 0.05)
+    with pytest.raises(DomainError):
+        beta_for_entropy(SystemSpec.qubits(3, 1.0), math.nan)
+    with pytest.raises(DomainError):
+        entropy_constrained_bound(SystemSpec.qubits(3, 1.0), math.nan)
 
 
 def test_beta_for_entropy_qutrit():
