@@ -17,7 +17,7 @@ import numpy as np
 from .core import (DensityMatrix, SystemSpec, _block_eigenvalues, partial_trace_to,
                    von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError
-from .passivity import ergotropy, thermal_entropy, thermal_params
+from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
 
 NPT_EIGENVALUE_TOL = -1e-10
 
@@ -108,7 +108,8 @@ def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
     """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
     if beta <= 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
-    return ergotropy(rho, hamiltonian).initial_energy - von_neumann_entropy(rho) / beta
+    energy = float(rho.diagonal @ _checked_hamiltonian(rho, hamiltonian))
+    return energy - von_neumann_entropy(rho) / beta
 
 
 def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:

@@ -139,8 +139,9 @@ class DensityMatrix:
     """Dense Hermitian, unit-trace operator on the global space.
 
     Finite entries, Hermiticity and trace are verified at construction;
-    positivity is verified wherever eigenvalues are computed (negative
-    eigenvalues below -1e-10 raise, anything above is clipped to zero).
+    positivity is verified wherever eigenvalues are computed (eigenvalues
+    below -1e-10 raise; smaller negative ones are kept as they are, and the
+    entropy skips them).
     """
 
     entries: np.ndarray
@@ -264,8 +265,6 @@ def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
     block covering every index is solved in place.
     """
     linked = arr != 0
-    if linked.all():  # one block, found without scanning the pattern
-        return _eigvalsh(arr)
     np.fill_diagonal(linked, False)
     members = np.flatnonzero(linked.any(axis=1) | linked.any(axis=0))
     labels = _component_labels(linked, members)

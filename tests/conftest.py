@@ -1,4 +1,3 @@
-import os
 import tempfile
 import time
 from typing import NamedTuple
@@ -6,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ergokit import SystemSpec
 from ergokit.verify import CheckResult, run_suite
@@ -14,8 +14,7 @@ from ergokit.verify import CheckResult, run_suite
 # database, so the suite stays deterministic; hypothesis still caches the
 # constants it reads from the source, so its storage goes to the temp dir
 # rather than a .hypothesis/ directory in the checkout
-os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
-                      os.path.join(tempfile.gettempdir(), "ergokit-hypothesis"))
+set_hypothesis_home_dir(f"{tempfile.gettempdir()}/ergokit-hypothesis")
 settings.register_profile("ergokit", derandomize=True, deadline=None, database=None)
 settings.load_profile("ergokit")
 

@@ -1,7 +1,6 @@
 """Command-line surface: subcommands, exit codes, config file, CSV output."""
 
 import math
-import time
 
 import pytest
 
@@ -30,9 +29,7 @@ def test_figure1_rows_reference_points():
 
 def test_figure1_rows_build_no_state():
     # every column is a closed form: a 2^60-entry state would not fit in memory
-    start = time.perf_counter()
     rows = figure1_rows(1.0, 60)
-    assert time.perf_counter() - start < 1.0
     assert rows[-1].n == 60 and rows[-1].entangled_ratio == 1.0
 
 
