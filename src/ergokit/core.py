@@ -40,6 +40,12 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+# square tiles of the Hermiticity check: 128 x 128 complex entries (256 kB),
+# so a tile and its transposed partner stay in cache
+_HERMITICITY_TILE = 128
+# entries per row group or row slab of a pair-rotation update (512 kB)
+_ROTATION_SLAB = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # system specification and Hamming weights
@@ -113,25 +119,44 @@ def hamming_weights(n: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
-def _hermiticity_defect(arr: np.ndarray, block: int = 1024) -> float:
-    # blockwise to bound temporary memory; NaN or inf entries give NaN
+def _hermiticity_defect(arr: np.ndarray) -> float:
+    """Largest |arr[i, j] - conj(arr[j, i])|; NaN or inf entries give NaN.
+
+    Walks the square tiles with i <= j, so each entry is read once and no
+    column is read with a stride.
+    """
     worst = 0.0
+    dim, tile = arr.shape[0], _HERMITICITY_TILE
     with np.errstate(invalid="ignore"):
-        for lo in range(0, arr.shape[0], block):
-            hi = lo + block
-            worst = np.maximum(worst, np.abs(arr[lo:hi, :] - arr[:, lo:hi].conj().T).max())
+        for lo in range(0, dim, tile):
+            for col in range(lo, dim, tile):
+                upper = arr[lo:lo + tile, col:col + tile]
+                lower = arr[col:col + tile, lo:lo + tile]
+                worst = np.maximum(worst, np.abs(upper - lower.conj().T).max())
     return float(worst)
 
 
-def _off_diagonal_max(arr: np.ndarray, block: int = 1024) -> float:
+def _coherence_max(arr: np.ndarray, labels: np.ndarray, block: int = 1024) -> float:
+    """Largest |arr[i, j]| with labels[i] != labels[j], one row slab at a time."""
     worst = 0.0
-    dim = arr.shape[0]
-    for lo in range(0, dim, block):
-        hi = min(lo + block, dim)
-        blk = np.abs(arr[lo:hi, :])
-        blk[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        worst = max(worst, float(blk.max()))
+    for lo in range(0, arr.shape[0], block):
+        slab = np.abs(arr[lo:lo + block])
+        slab[labels[lo:lo + block, None] == labels] = 0.0
+        worst = max(worst, float(slab.max()))
     return worst
+
+
+class _Fresh:
+    """An array built inside the package that no caller holds a reference to.
+
+    DensityMatrix adopts it as its entries instead of taking the copy it
+    makes of any other input.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +173,10 @@ class DensityMatrix:
     _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex, copy=True, order="C")
+        if isinstance(self.entries, _Fresh):
+            arr = np.asarray(self.entries.array, dtype=complex, order="C")
+        else:
+            arr = np.array(self.entries, dtype=complex, copy=True, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
         defect = _hermiticity_defect(arr)
@@ -169,19 +197,21 @@ class DensityMatrix:
         return self.entries.diagonal().real.copy()
 
     def off_diagonal_max(self) -> float:
-        return _off_diagonal_max(self.entries)
+        return _coherence_max(self.entries, np.arange(self.dim))
 
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
         pops = np.asarray(populations, dtype=float)
         if pops.ndim != 1:
             raise ShapeError("populations must be a vector")
-        return cls(np.diag(pops.astype(complex)))
+        arr = np.zeros((pops.size, pops.size), dtype=complex)
+        np.fill_diagonal(arr, pops)
+        return cls(_Fresh(arr))
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
         vec = np.asarray(amplitudes, dtype=complex).ravel()
-        return cls(np.outer(vec, vec.conj()))
+        return cls(_Fresh(np.outer(vec, vec.conj())))
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +225,33 @@ class StructuredUnitary:
     rotations is a sequence of (index_a, index_b, angle); all indices are
     pairwise distinct, so the rotations commute and the matrix is exactly
     unitary.  The 2x2 block on (index_a, index_b) is
-    ((cos, sin), (-sin, cos)).
+    ((cos, sin), (-sin, cos)).  The index, cosine and sine arrays that
+    apply_unitary uses are built once, at construction.
     """
 
     rotations: tuple[tuple[int, int, float], ...]
     dim: int
+    _pairs: np.ndarray = field(init=False, repr=False)
+    _cos: np.ndarray = field(init=False, repr=False)
+    _sin: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rots = tuple((int(a), int(b), float(t)) for a, b, t in self.rotations)
         object.__setattr__(self, "rotations", rots)
-        seen = set()
-        for a, b, _ in rots:
-            if not (0 <= a < self.dim and 0 <= b < self.dim):
-                raise ValidityError(f"rotation indices ({a}, {b}) outside dimension {self.dim}")
-            if a == b or a in seen or b in seen:
-                raise ValidityError("rotation pairs must be disjoint")
-            seen.add(a)
-            seen.add(b)
+        pairs = np.array([(a, b) for a, b, _ in rots], dtype=np.int64).reshape(-1, 2)
+        outside = ((pairs < 0) | (pairs >= self.dim)).any(axis=1)
+        if outside.any():
+            a, b = pairs[outside][0]
+            raise ValidityError(f"rotation indices ({a}, {b}) outside dimension {self.dim}")
+        if np.unique(pairs).size != pairs.size:
+            raise ValidityError("rotation pairs must be disjoint")
+        # math.cos and math.sin, as materialize() uses, once per distinct angle
+        angles, where = np.unique([t for _, _, t in rots], return_inverse=True)
+        cos = np.array([math.cos(t) for t in angles])[where]
+        sin = np.array([math.sin(t) for t in angles])[where]
+        for name, value in (("_pairs", pairs.T), ("_cos", cos), ("_sin", sin)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def materialize(self) -> np.ndarray:
         """Dense matrix form (for testing and small systems)."""
@@ -252,8 +292,7 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
     left = d ** (keep - 1)
     right = d ** (spec.n - keep)
     tensor = rho.entries.reshape(left, d, right, left, d, right)
-    reduced = np.einsum("iajibj->ab", tensor)
-    return DensityMatrix(reduced)
+    return DensityMatrix(_Fresh(np.einsum("iajibj->ab", tensor)))
 
 
 def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
@@ -333,32 +372,46 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(nz * np.log(nz)).sum() + 0.0)
 
 
+def _rotate(entries: np.ndarray, unitary: StructuredUnitary) -> np.ndarray:
+    """U entries U^dagger for pair rotations: rows, then columns.
+
+    Row pairs are updated a group of rotations at a time and column pairs
+    one contiguous row slab at a time; each temporary holds at most
+    _ROTATION_SLAB entries.  The expressions are those of a per-rotation
+    update, so the entries are bit-identical to it.
+    """
+    out = entries.copy()
+    dim = out.shape[0]
+    a, b = unitary._pairs
+    c, s = unitary._cos, unitary._sin
+    step = max(1, _ROTATION_SLAB // dim)
+    for lo in range(0, a.size, step):
+        ia, ib = a[lo:lo + step], b[lo:lo + step]
+        ca, sa = c[lo:lo + step, None], s[lo:lo + step, None]
+        row_a, row_b = out[ia], out[ib]
+        out[ia] = ca * row_a + sa * row_b
+        out[ib] = -sa * row_a + ca * row_b
+    for lo in range(0, dim, step):
+        rows = out[lo:lo + step]
+        col_a, col_b = rows[:, a], rows[:, b]
+        rows[:, a] = c * col_a + s * col_b
+        rows[:, b] = -s * col_a + c * col_b
+    return out
+
+
 def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
     """Conjugate a state by a unitary: U rho U^dagger.
 
     Accepts either a dense matrix (checked for unitarity) or a
-    StructuredUnitary, which is applied as row/column rotations without
-    materializing the full matrix.
+    StructuredUnitary, whose pair rotations are applied as vectorized row
+    and column updates without materializing the full matrix.
     """
     if isinstance(unitary, StructuredUnitary):
         if unitary.dim != rho.dim:
             raise ShapeError(
                 f"unitary dimension {unitary.dim} does not match state dimension {rho.dim}"
             )
-        out = rho.entries.copy()
-        for a, b, theta in unitary.rotations:
-            c, s = math.cos(theta), math.sin(theta)
-            row_a = out[a, :].copy()
-            row_b = out[b, :]
-            out[a, :] = c * row_a + s * row_b
-            out[b, :] = -s * row_a + c * row_b
-        for a, b, theta in unitary.rotations:
-            c, s = math.cos(theta), math.sin(theta)
-            col_a = out[:, a].copy()
-            col_b = out[:, b]
-            out[:, a] = c * col_a + s * col_b
-            out[:, b] = -s * col_a + c * col_b
-        return DensityMatrix(out)
+        return DensityMatrix(_Fresh(_rotate(rho.entries, unitary)))
 
     mat = np.asarray(unitary, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -370,4 +423,4 @@ def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
     defect = float(np.abs(mat @ mat.conj().T - np.eye(rho.dim)).max())
     if defect > UNITARY_TOL:
         raise ValidityError(f"matrix is not unitary (defect {defect:.3e})")
-    return DensityMatrix(mat @ rho.entries @ mat.conj().T)
+    return DensityMatrix(_Fresh(mat @ rho.entries @ mat.conj().T))

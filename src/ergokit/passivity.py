@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DensityMatrix, ShapeError, SystemSpec, state_eigenvalues
+from .core import (
+    DensityMatrix,
+    ShapeError,
+    SystemSpec,
+    _coherence_max,
+    _eigvalsh,
+    state_eigenvalues,
+)
 from .errors import DomainError, NumericalError, UnsupportedError
 
 # beta' = infinity is represented by this sentinel (in units of the first
@@ -26,6 +33,7 @@ BETA_MAX_SCALE = 1e6
 
 ENTROPY_BISECTION_TOL = 1e-12
 ENTROPY_BISECTION_MAX_ITER = 200
+BETA_BISECTION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,35 +150,40 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
 
 
 def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
-    """True iff rho is diagonal with populations non-increasing in energy.
+    """True iff rho commutes with H and its eigenvalues do not increase with energy.
 
-    Within a degenerate energy shell any ordering counts as passive, so
-    populations are compared shell-by-shell.
+    Energies sorted ascending form one degenerate shell while each lies
+    within 1e-9 of the one before.  Coherence is allowed only inside a
+    shell; each shell's eigenvalues (those of its block, sorted descending)
+    then take the place of its populations, so any ordering inside a shell
+    is passive.
     """
-    if rho.off_diagonal_max() > 1e-10:
-        return False
     energies = _checked_hamiltonian(rho, hamiltonian)
-    pops = rho.diagonal
     order = np.argsort(energies, kind="stable")
-    sorted_e = energies[order]
-    sorted_p = pops[order]
-    # sort populations descending inside each (tolerance-grouped) shell
-    arranged = []
-    start = 0
-    for i in range(1, len(sorted_e) + 1):
-        if i == len(sorted_e) or sorted_e[i] - sorted_e[start] > 1e-9:
-            arranged.append(np.sort(sorted_p[start:i])[::-1])
-            start = i
-    seq = np.concatenate(arranged)
+    steps = np.diff(energies[order]) > 1e-9
+    shells = np.split(order, np.flatnonzero(steps) + 1)
+    labels = np.empty(rho.dim, dtype=np.int64)
+    labels[order] = np.concatenate([[0], np.cumsum(steps)])
+    if _coherence_max(rho.entries, labels) > 1e-10:
+        return False
+    seq = np.concatenate([
+        np.sort(_eigvalsh(rho.entries[np.ix_(members, members)]))[::-1]
+        for members in shells
+    ])
     return bool(np.all(np.diff(seq) <= 1e-12))
 
 
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:
     """Invert the thermal-entropy map: find beta' with S(tau_beta') = s.
 
-    Bisection on the monotone map beta' -> S(tau_beta'), converged to
-    1e-12 absolute on the entropy residual.  s = ln d returns beta' = 0;
-    s at or below the sentinel entropy returns the beta_max sentinel.
+    Bisection on the monotone map beta' -> S(tau_beta').  Since
+    dS/dbeta' = -beta' Var(E), an entropy residual r moves beta' by about
+    r / (beta'^2 Var(E)) relative; the bisection stops once r is at most
+    1e-12 and at most 1e-10 beta'^2 Var(E), or when the bracket can no
+    longer be split.  The relative bound is what holds at large beta',
+    where s itself is near 1e-12, and near beta' = 0, where S is flat.
+    s = ln d returns beta' = 0; s at or below the sentinel entropy returns
+    the beta_max sentinel.
     """
     s = float(entropy_per_subsystem)
     s_max = math.log(spec.d)
@@ -186,15 +199,20 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     floor_params = thermal_params(spec, beta_max)
     if s <= floor_params.entropy:
         return floor_params
+    squares = np.square(spec.local_energies)
     lo, hi = 0.0, beta_max
     params = floor_params
     for _ in range(ENTROPY_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         params = thermal_params(spec, mid)
-        resid = params.entropy - s
-        if abs(resid) <= ENTROPY_BISECTION_TOL:
+        entropy = params.entropy
+        resid = abs(entropy - s)
+        if resid <= ENTROPY_BISECTION_TOL and resid <= BETA_BISECTION_RTOL * mid * mid * (
+                float(squares @ params.populations) - params.mean_energy ** 2):
             return params
-        if resid > 0.0:
+        if not lo < mid < hi:
+            return params
+        if entropy > s:
             lo = mid  # entropy decreases with beta
         else:
             hi = mid

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergokit import (
     CapacityError,
@@ -24,6 +25,8 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
+from ergokit.core import _HERMITICITY_TILE, _hermiticity_defect
+from ergokit.verify import random_density_matrix
 
 # frozen closed forms at beta = 1, E = 1
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))  # 0.2689414213699951
@@ -252,6 +255,29 @@ def test_structured_matches_dense(rng):
     )
 
 
+@st.composite
+def rotation_sets(draw):
+    """A state dimension and disjoint rotations on it: none, one, some or a full pairing."""
+    dim = draw(st.integers(2, 64))
+    order = draw(st.permutations(range(dim)))
+    count = draw(st.sampled_from([0, 1, dim // 2]) | st.integers(0, dim // 2))
+    angles = st.sampled_from([math.pi / 2, 0.0, -math.pi / 2]) | st.floats(-7.0, 7.0)
+    rotations = tuple((order[2 * k], order[2 * k + 1], draw(angles)) for k in range(count))
+    return StructuredUnitary(rotations=rotations, dim=dim)
+
+
+@settings(max_examples=80)
+@given(unitary=rotation_sets(), seed=st.integers(0, 2 ** 32 - 1))
+def test_structured_application_matches_dense_conjugation(unitary, seed):
+    rho = random_density_matrix(np.random.default_rng(seed), unitary.dim)
+    out = apply_unitary(rho, unitary)
+    mat = unitary.materialize()
+    gap = np.abs(out.entries - mat @ rho.entries @ mat.conj().T).max()
+    assert gap <= 1e-12
+    assert not out.entries.flags.writeable
+    assert not np.shares_memory(out.entries, rho.entries)
+
+
 def test_apply_rejects_nonunitary():
     with pytest.raises(ValidityError):
         apply_unitary(bell_state(), np.ones((4, 4)))
@@ -264,6 +290,12 @@ def test_structured_unitary_validation():
         StructuredUnitary(rotations=((0, 1, 0.1), (1, 2, 0.2)), dim=4)
     with pytest.raises(ValidityError):
         StructuredUnitary(rotations=((0, 4, 0.1),), dim=4)
+    with pytest.raises(ValidityError):
+        StructuredUnitary(rotations=((-1, 2, 0.1),), dim=4)
+    with pytest.raises(ValidityError):
+        StructuredUnitary(rotations=((2, 2, 0.1),), dim=4)
+    with pytest.raises(ValidityError):
+        StructuredUnitary(rotations=((0, 1, 0.1), (3, 0, 0.2)), dim=4)
     mat = StructuredUnitary(rotations=((0, 3, 0.4), (1, 2, 0.9)), dim=4).materialize()
     assert float(np.abs(mat @ mat.conj().T - np.eye(4)).max()) <= 1e-12
 
@@ -294,3 +326,32 @@ def test_density_matrix_entries_are_read_only():
     rho = bell_state()
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
+
+
+def test_density_matrix_copies_a_callers_array():
+    for given_array in (np.eye(2) / 2, np.eye(2, dtype=complex) / 2):
+        rho = DensityMatrix(given_array)
+        given_array[0, 0] = 7.0
+        assert rho.entries[0, 0] == 0.5
+        assert not np.shares_memory(rho.entries, given_array)
+
+
+@pytest.mark.parametrize("dim", [_HERMITICITY_TILE - 1, _HERMITICITY_TILE + 1,
+                                 2 * _HERMITICITY_TILE + 1])
+def test_tiled_hermiticity_defect_equals_dense_defect(dim, rng):
+    arr = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    arr += arr.conj().T
+    arr[rng.integers(dim, size=5), rng.integers(dim, size=5)] += 1e-3 * rng.standard_normal(5)
+    assert _hermiticity_defect(arr) == np.abs(arr - arr.conj().T).max()
+
+
+@pytest.mark.parametrize("bad", [1e-6, math.nan, math.inf])
+def test_tiled_hermiticity_check_reads_tiles_below_the_diagonal(bad):
+    # the i <= j walk reaches a tile below the diagonal only through the
+    # transpose of its partner
+    dim = 2 * _HERMITICITY_TILE + 1
+    arr = np.eye(dim, dtype=complex) / dim
+    arr[_HERMITICITY_TILE + 5, 3] += bad
+    assert not _hermiticity_defect(arr) <= 0.0
+    with pytest.raises(ValidityError):
+        DensityMatrix(arr)

@@ -26,6 +26,7 @@ from ergokit import (
     thermal_state,
 )
 from ergokit.figures import figure1_rows
+from ergokit.verify import random_density_matrix
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -195,6 +196,36 @@ def test_is_passive_ignores_order_inside_degenerate_shell():
     assert not is_passive(rho2, [0.0, 1.0, 1.0, 2.0])
 
 
+def test_is_passive_accepts_coherence_inside_a_shell():
+    # commutes with H = diag(0, 1, 1); shell eigenvalues 0.5, 0 sit below 0.5
+    rho = DensityMatrix(np.array([[0.5, 0, 0], [0, 0.25, 0.25], [0, 0.25, 0.25]]))
+    assert is_passive(rho, [0.0, 1.0, 1.0])
+    assert ergotropy(rho, [0.0, 1.0, 1.0]).ergotropy == 0.0
+
+
+def test_is_passive_orders_a_shell_by_its_eigenvalues():
+    # populations 0.4, 0.3, 0.3 fall with energy, but the shell's eigenvalues
+    # are 0.6 and 0, and 0.6 lies above the ground population 0.4
+    rho = DensityMatrix(np.array([[0.4, 0, 0], [0, 0.3, 0.3], [0, 0.3, 0.3]]))
+    assert not is_passive(rho, [0.0, 1.0, 1.0])
+    assert abs(ergotropy(rho, [0.0, 1.0, 1.0]).ergotropy - 0.2) <= 1e-12
+
+
+def test_is_passive_rejects_coherence_across_energies():
+    rho = DensityMatrix(np.array([[0.6, 0.1, 0], [0.1, 0.3, 0], [0, 0, 0.1]]))
+    assert not is_passive(rho, [0.0, 1.0, 1.0])
+    assert not is_passive(rho, [0.0, 1.0, 2.0])
+
+
+def test_is_passive_rejects_random_coherent_states():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        spec = SystemSpec.qubits(n, 1.0)
+        for _ in range(5):
+            assert not is_passive(random_density_matrix(rng, spec.dim),
+                                  build_hamiltonian(spec))
+
+
 # ---------------------------------------------------------------------------
 # entropy inversion
 # ---------------------------------------------------------------------------
@@ -239,6 +270,16 @@ def test_beta_for_entropy_domain_errors():
         entropy_constrained_bound(SystemSpec.qubits(3, 1.0), math.nan)
 
 
+@pytest.mark.parametrize("beta_e", [0.01, 1.0, 10.0, 28.0, 30.0, 35.0])
+def test_beta_for_entropy_recovers_beta(beta_e):
+    # at beta E = 30 the target entropy is about 3e-12, so an absolute
+    # 1e-12 entropy residual alone would leave beta' far off
+    for spec in (SystemSpec.qubits(1, 1.0), SystemSpec.qubits(1, 1.0, energy=2.0)):
+        beta = beta_e / spec.energy_gap
+        found = beta_for_entropy(spec, thermal_entropy(spec, beta)).beta_prime
+        assert abs(found - beta) <= 1e-9 * beta
+
+
 def test_beta_for_entropy_qutrit():
     spec = SystemSpec(n=1, d=3, local_energies=(0.0, 1.0, 2.5), beta=1.0)
     params = beta_for_entropy(spec, 0.6)
@@ -267,6 +308,14 @@ def test_entropy_bound_two_qubit_value():
     # sharper pin from the bisection itself
     half = beta_for_entropy(spec, thermal_entropy(spec) / 2).populations[1]
     assert abs(value - 2 * (P1 - half)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta_e", [30.0, 40.0])
+def test_figure1_entropy_bound_at_large_beta(beta_e):
+    rows = figure1_rows(beta_e, 6)
+    assert abs(rows[0].entropy_bound_ratio) <= 1e-6
+    for row in rows[1:]:
+        assert row.separable_ratio <= row.entropy_bound_ratio <= 1.0
 
 
 def test_separable_limit_ratio_identity_for_qubits():
