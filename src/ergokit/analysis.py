@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DensityMatrix, SystemSpec, _block_eigenvalues, partial_trace_to,
-                   von_neumann_entropy)
+from .core import (DensityMatrix, SystemSpec, _block_eigenvalues, _check_dense_size,
+                   partial_trace_to, von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError
 from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
 
@@ -60,11 +60,15 @@ class EntanglementVerdict:
 
 def partial_transpose(rho: DensityMatrix, spec: SystemSpec,
                       part: Bipartition) -> np.ndarray:
-    """Transpose the side_a subsystems; returns a Hermitian matrix."""
+    """Transpose the side_a subsystems; returns a dense Hermitian matrix.
+
+    Raises CapacityError before building a matrix over core.DENSE_BYTES_MAX.
+    """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
     if part.n != spec.n:
         raise ShapeError(f"bipartition over {part.n} subsystems, spec has {spec.n}")
+    _check_dense_size(spec.dim)
     n, d = spec.n, spec.d
     tensor = rho.entries.reshape([d] * (2 * n))
     axes = list(range(2 * n))

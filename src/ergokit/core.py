@@ -4,8 +4,14 @@ Hamming weights, Hamiltonian construction, partial trace, spectrum,
 entropy and unitary application for systems of n identical d-level
 subsystems with a non-interacting total Hamiltonian.
 
-The spectrum is solved one connected block of the nonzero pattern at a
-time and cached on the frozen DensityMatrix, so each state is solved once.
+A state is stored as populations plus coherence blocks: the diagonal of
+every basis index outside a block, and dense Hermitian blocks on
+disjoint index sets.  The diagonal, entangled and pair-rotated states
+hold O(dim) numbers this way and the Dicke mixture one block per
+excitation shell, so building, rotating, tracing and solving the
+package's states never touches a dim x dim array; a caller's dense array
+is one block over every index.  The spectrum is solved block by block
+and cached on the state, so each state is solved once.
 
 Conventions
 -----------
@@ -19,9 +25,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -34,6 +39,9 @@ from .errors import (
 )
 
 DEFAULT_DIM_CAP = 16384
+# largest dense complex dim x dim array built on demand (entries, partial
+# transpose, dense unitaries): 1 GiB, which admits dim 8192
+DENSE_BYTES_MAX = 1 << 30
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -119,149 +127,224 @@ def hamming_weights(n: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
-def _hermiticity_defect(arr: np.ndarray) -> float:
-    """Largest |arr[i, j] - conj(arr[j, i])|; NaN or inf entries give NaN.
+def _check_dense_size(dim: int):
+    """Raise CapacityError before a dense complex dim x dim array over DENSE_BYTES_MAX."""
+    size = 16 * dim * dim
+    if size > DENSE_BYTES_MAX:
+        raise CapacityError(
+            f"a dense {dim} x {dim} matrix needs {size} bytes, "
+            f"over the limit of {DENSE_BYTES_MAX}"
+        )
 
-    Walks the square tiles with i <= j, so each entry is read once and no
-    column is read with a stride.
+
+def _hermiticity_defect(arr: np.ndarray) -> float:
+    """Largest |arr[..., i, j] - conj(arr[..., j, i])| of a matrix or a stack of them.
+
+    NaN or inf entries give NaN.  Walks the square tiles with i <= j, so
+    each entry is read once and no column is read with a stride.
     """
     worst = 0.0
-    dim, tile = arr.shape[0], _HERMITICITY_TILE
+    dim, tile = arr.shape[-1], _HERMITICITY_TILE
     with np.errstate(invalid="ignore"):
         for lo in range(0, dim, tile):
             for col in range(lo, dim, tile):
-                upper = arr[lo:lo + tile, col:col + tile]
-                lower = arr[col:col + tile, lo:lo + tile]
-                worst = np.maximum(worst, np.abs(upper - lower.conj().T).max())
+                upper = arr[..., lo:lo + tile, col:col + tile]
+                lower = arr[..., col:col + tile, lo:lo + tile]
+                worst = np.maximum(worst, np.abs(upper - lower.conj().swapaxes(-1, -2)).max())
     return float(worst)
 
 
-def _coherence_max(arr: np.ndarray, labels: np.ndarray, block: int = 1024) -> float:
-    """Largest |arr[i, j]| with labels[i] != labels[j], one row slab at a time."""
+def _coherence_max(rho: "DensityMatrix", labels: np.ndarray, slab: int = 1024) -> float:
+    """Largest |rho[i, j]| with labels[i] != labels[j], read from the blocks.
+
+    Each group is read a slab of block rows at a time, so a single dense
+    block never needs a dim x dim mask.
+    """
     worst = 0.0
-    for lo in range(0, arr.shape[0], block):
-        slab = np.abs(arr[lo:lo + block])
-        slab[labels[lo:lo + block, None] == labels] = 0.0
-        worst = max(worst, float(slab.max()))
+    for index, values in rho.groups:
+        lab = labels[index]
+        for lo in range(0, index.shape[1], slab):
+            part = np.abs(values[:, lo:lo + slab])
+            part[lab[:, lo:lo + slab, None] == lab[:, None, :]] = 0.0
+            worst = max(worst, float(part.max()))
     return worst
 
 
-class _Fresh:
-    """An array built inside the package that no caller holds a reference to.
+class _Parts:
+    """Populations and block groups built inside the package.
 
-    DensityMatrix adopts it as its entries instead of taking the copy it
-    makes of any other input.
+    DensityMatrix adopts them as they are, where it copies a caller's array.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("populations", "groups")
 
-    def __init__(self, array: np.ndarray):
-        self.array = array
+    def __init__(self, populations: np.ndarray, groups=()):
+        self.populations = populations
+        self.groups = tuple(groups)
 
 
-@dataclass(frozen=True, eq=False)
+def _single_block(arr: np.ndarray) -> _Parts:
+    """Parts of a dense matrix: one block over every index."""
+    dim = arr.shape[0]
+    return _Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None])])
+
+
 class DensityMatrix:
-    """Dense Hermitian, unit-trace operator on the global space.
+    """Hermitian, unit-trace operator on the global space, stored in parts.
+
+    populations is the diagonal of every index outside a block (zero at
+    block indices).  groups is a tuple of (index, values) pairs: index has
+    shape (m, k) with ascending rows, values has shape (m, k, k), and all
+    blocks are disjoint.  A dense array given by a caller is copied into one
+    block over every index.  entries is the dense matrix, built on each
+    access (read-only) unless the state is that one block.
 
     Finite entries, Hermiticity and trace are verified at construction;
     positivity is verified wherever eigenvalues are computed (eigenvalues
     below -1e-10 raise; smaller negative ones are kept as they are, and the
-    entropy skips them).
+    entropy skips them).  States compare and hash by identity.
     """
 
-    entries: np.ndarray
-    _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if isinstance(self.entries, _Fresh):
-            arr = np.asarray(self.entries.array, dtype=complex, order="C")
+    def __init__(self, entries):
+        if isinstance(entries, _Parts):
+            parts = entries
         else:
-            arr = np.array(self.entries, dtype=complex, copy=True, order="C")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
-        defect = _hermiticity_defect(arr)
-        if not defect <= HERMITICITY_TOL:
-            raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-        trace = float(arr.trace().real)
+            arr = np.array(entries, dtype=complex, copy=True, order="C")
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
+            parts = _single_block(arr)
+        # a non-finite population makes the trace non-finite
+        trace = float(parts.populations.sum())
+        for index, values in parts.groups:
+            defect = _hermiticity_defect(values)
+            if not defect <= HERMITICITY_TOL:
+                raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
+            trace += float(values.diagonal(axis1=1, axis2=2).real.sum())
+            index.setflags(write=False)
+            values.setflags(write=False)
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValidityError(f"trace must be 1, got {trace!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        parts.populations.setflags(write=False)
+        self.populations = parts.populations
+        self.groups = parts.groups
+        self._spectrum = None
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.populations.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        dense = self._dense_block()
+        if dense is not None:
+            return dense
+        _check_dense_size(self.dim)
+        arr = np.zeros((self.dim, self.dim), dtype=complex)
+        np.fill_diagonal(arr, self.populations)
+        for index, values in self.groups:
+            arr[index[:, :, None], index[:, None, :]] = values
+        arr.setflags(write=False)
+        return arr
 
     @property
     def diagonal(self) -> np.ndarray:
-        return self.entries.diagonal().real.copy()
+        diag = self.populations.copy()
+        for index, values in self.groups:
+            diag[index] = values.diagonal(axis1=1, axis2=2).real
+        return diag
 
     def off_diagonal_max(self) -> float:
-        return _coherence_max(self.entries, np.arange(self.dim))
+        return _coherence_max(self, np.arange(self.dim))
+
+    def _dense_block(self) -> np.ndarray | None:
+        """The matrix itself when the state is one block over every index."""
+        if len(self.groups) == 1 and self.groups[0][0].shape == (1, self.dim):
+            return self.groups[0][1][0]
+        return None
 
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
-        pops = np.asarray(populations, dtype=float)
+        pops = np.array(populations, dtype=float)
         if pops.ndim != 1:
             raise ShapeError("populations must be a vector")
-        arr = np.zeros((pops.size, pops.size), dtype=complex)
-        np.fill_diagonal(arr, pops)
-        return cls(_Fresh(arr))
+        return cls(_Parts(pops))
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
+        """|psi><psi| as one block over the support of the amplitudes."""
         vec = np.asarray(amplitudes, dtype=complex).ravel()
-        return cls(_Fresh(np.outer(vec, vec.conj())))
+        support = np.flatnonzero(vec)
+        amp = vec[support]
+        block = np.outer(amp, amp.conj())
+        return cls(_Parts(np.zeros(vec.size), [(support[None], block[None])]))
 
 
 # ---------------------------------------------------------------------------
 # structured (pair-rotation) unitaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class StructuredUnitary:
     """Sparse unitary: independent 2-dimensional rotations plus identity.
 
-    rotations is a sequence of (index_a, index_b, angle); all indices are
-    pairwise distinct, so the rotations commute and the matrix is exactly
-    unitary.  The 2x2 block on (index_a, index_b) is
-    ((cos, sin), (-sin, cos)).  The index, cosine and sine arrays that
-    apply_unitary uses are built once, at construction.
+    Built from a sequence of (index_a, index_b, angle) rotations, or by
+    from_pairs from index and angle arrays.  All indices are pairwise
+    distinct, so the rotations commute and the matrix is exactly unitary.
+    The 2x2 block on (index_a, index_b) is ((cos, sin), (-sin, cos)).
+    rotations lists the triples, derived on first access.
     """
 
-    rotations: tuple[tuple[int, int, float], ...]
-    dim: int
-    _pairs: np.ndarray = field(init=False, repr=False)
-    _cos: np.ndarray = field(init=False, repr=False)
-    _sin: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rots = tuple((int(a), int(b), float(t)) for a, b, t in self.rotations)
-        object.__setattr__(self, "rotations", rots)
+    def __init__(self, rotations, dim: int):
+        rots = tuple((int(a), int(b), float(t)) for a, b, t in rotations)
         pairs = np.array([(a, b) for a, b, _ in rots], dtype=np.int64).reshape(-1, 2)
-        outside = ((pairs < 0) | (pairs >= self.dim)).any(axis=1)
+        self._set(pairs.T, np.array([t for _, _, t in rots], dtype=float), dim)
+        self._rotations = rots
+
+    @classmethod
+    def from_pairs(cls, index_a, index_b, angles, dim: int) -> "StructuredUnitary":
+        """Rotation k acts on (index_a[k], index_b[k]) by angles[k] (or one shared angle)."""
+        a, b = np.asarray(index_a, dtype=np.int64), np.asarray(index_b, dtype=np.int64)
+        angles = np.array(angles, dtype=float)
+        if a.ndim != 1 or b.shape != a.shape or angles.shape not in ((), a.shape):
+            raise ShapeError(
+                f"index arrays {a.shape} and {b.shape} and angles {angles.shape} do not match"
+            )
+        unitary = cls.__new__(cls)
+        unitary._set(np.stack([a, b]), np.broadcast_to(angles, a.shape), dim)
+        unitary._rotations = None
+        return unitary
+
+    def _set(self, pairs: np.ndarray, angles: np.ndarray, dim: int):
+        outside = ((pairs < 0) | (pairs >= dim)).any(axis=0)
         if outside.any():
-            a, b = pairs[outside][0]
-            raise ValidityError(f"rotation indices ({a}, {b}) outside dimension {self.dim}")
+            a, b = pairs[:, outside][:, 0]
+            raise ValidityError(f"rotation indices ({a}, {b}) outside dimension {dim}")
         if np.unique(pairs).size != pairs.size:
             raise ValidityError("rotation pairs must be disjoint")
-        # math.cos and math.sin, as materialize() uses, once per distinct angle
-        angles, where = np.unique([t for _, _, t in rots], return_inverse=True)
-        cos = np.array([math.cos(t) for t in angles])[where]
-        sin = np.array([math.sin(t) for t in angles])[where]
-        for name, value in (("_pairs", pairs.T), ("_cos", cos), ("_sin", sin)):
+        # math.cos and math.sin once per distinct angle
+        distinct, where = np.unique(angles, return_inverse=True)
+        cos = np.array([math.cos(t) for t in distinct])[where]
+        sin = np.array([math.sin(t) for t in distinct])[where]
+        for value in (pairs, angles, cos, sin):
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        self.dim = int(dim)
+        self._pairs, self._angles, self._cos, self._sin = pairs, angles, cos, sin
+
+    @property
+    def rotations(self) -> tuple[tuple[int, int, float], ...]:
+        if self._rotations is None:
+            a, b = self._pairs
+            self._rotations = tuple(zip(a.tolist(), b.tolist(), self._angles.tolist()))
+        return self._rotations
 
     def materialize(self) -> np.ndarray:
         """Dense matrix form (for testing and small systems)."""
+        _check_dense_size(self.dim)
         mat = np.eye(self.dim, dtype=complex)
-        for a, b, theta in self.rotations:
-            c, s = math.cos(theta), math.sin(theta)
-            mat[a, a] = c
-            mat[a, b] = s
-            mat[b, a] = -s
-            mat[b, b] = c
+        a, b = self._pairs
+        mat[a, a] = self._cos
+        mat[a, b] = self._sin
+        mat[b, a] = -self._sin
+        mat[b, b] = self._cos
         return mat
 
 
@@ -283,7 +366,13 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
 
 
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
-    """Reduced state of one subsystem (1-based index), tracing out the rest."""
+    """Reduced state of one subsystem (1-based index), tracing out the rest.
+
+    The diagonal sums the full diagonal in index order, as the dense
+    einsum does, so a state and its dense form give the same bits; an
+    off-diagonal entry sums the block entries whose two indices differ
+    only in the kept digit.  A single dense block is traced as one tensor.
+    """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
     if not 1 <= keep <= spec.n:
@@ -291,8 +380,20 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
     d = spec.d
     left = d ** (keep - 1)
     right = d ** (spec.n - keep)
-    tensor = rho.entries.reshape(left, d, right, left, d, right)
-    return DensityMatrix(_Fresh(np.einsum("iajibj->ab", tensor)))
+    dense = rho._dense_block()
+    if dense is not None:
+        tensor = dense.reshape(left, d, right, left, d, right)
+        return DensityMatrix(_single_block(np.einsum("iajibj->ab", tensor)))
+    out = np.zeros((d, d), dtype=complex)
+    by_digit = rho.diagonal.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
+    np.fill_diagonal(out, np.cumsum(by_digit, axis=1)[:, -1])
+    for index, values in rho.groups:
+        digit = index // right % d
+        rest = index - digit * right
+        link = (rest[:, :, None] == rest[:, None, :]) & (digit[:, :, None] != digit[:, None, :])
+        rows, cols = np.broadcast_arrays(digit[:, :, None], digit[:, None, :])
+        np.add.at(out, (rows[link], cols[link]), values[link])
+    return DensityMatrix(_single_block(out))
 
 
 def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
@@ -314,18 +415,28 @@ def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
         if size == arr.shape[0]:
             return _eigvalsh(arr)
         index = members[order[sizes == size]].reshape(-1, size)
-        blocks = arr[index[:, :, None], index[:, None, :]]
-        complex_ = blocks.imag.any(axis=(1, 2))
-        values += [_eigvalsh(blocks[~complex_]), _eigvalsh(blocks[complex_])]
+        values.append(_stack_eigenvalues(arr[index[:, :, None], index[:, None, :]]).ravel())
     return np.concatenate(values)
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of Hermitian blocks, by the real solver if all are real."""
     try:
-        return np.linalg.eigvalsh(stack if stack.imag.any() else stack.real).ravel()
+        return np.linalg.eigvalsh(stack if stack.imag.any() else stack.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each block of an (m, k, k) stack, as (m, k).
+
+    Real blocks take the real solver, the others one complex solve.
+    """
+    complex_ = stack.imag.any(axis=(1, 2))
+    out = np.empty(stack.shape[:2])
+    out[~complex_] = _eigvalsh(stack[~complex_])
+    out[complex_] = _eigvalsh(stack[complex_])
+    return out
 
 
 def _component_labels(linked: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -353,15 +464,28 @@ def _component_labels(linked: np.ndarray, members: np.ndarray) -> np.ndarray:
 def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, sorted descending, as a read-only array.
 
-    Solved on the first call and cached on the state, so entropy, ergotropy
-    and the passive state of one state share one solve.
+    The populations outside blocks are eigenvalues as they are; each block
+    group is solved in one stacked call, and a single dense block one
+    connected component of its nonzero pattern at a time.  Solved on the
+    first call and cached on the state, so entropy, ergotropy and the
+    passive state of one state share one solve.
     """
     if rho._spectrum is None:
-        vals = np.sort(_block_eigenvalues(rho.entries))[::-1]
+        dense = rho._dense_block()
+        if dense is not None:
+            vals = _block_eigenvalues(dense)
+        else:
+            free = np.ones(rho.dim, dtype=bool)
+            blocks = []
+            for index, values in rho.groups:
+                free[index] = False
+                blocks.append(_stack_eigenvalues(values).ravel())
+            vals = np.concatenate([rho.populations[free], *blocks])
+        vals = np.sort(vals)[::-1]
         if vals[-1] < -PSD_TOL:
             raise ValidityError(f"state has eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
         vals.setflags(write=False)
-        object.__setattr__(rho, "_spectrum", vals)
+        rho._spectrum = vals
     return rho._spectrum
 
 
@@ -399,19 +523,102 @@ def _rotate(entries: np.ndarray, unitary: StructuredUnitary) -> np.ndarray:
     return out
 
 
+def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
+    """Parts of U rho U^dagger for pair rotations, without a dense matrix.
+
+    The new blocks are the connected components of the old blocks together
+    with the rotation pairs.  Each is assembled from its old blocks and
+    populations and rotated with _rotate's expressions, rows then columns,
+    so its entries are bit-identical to the dense update; blocks and
+    populations no rotation touches are kept as they are.
+    """
+    dim = rho.dim
+    a, b = unitary._pairs
+    # graph node of every index: its block's number, or nblocks + index if free
+    nblocks = sum(index.shape[0] for index, _ in rho.groups)
+    node = nblocks + np.arange(dim)
+    first = 0
+    for index, _ in rho.groups:
+        node[index] = first + np.arange(index.shape[0])[:, None]
+        first += index.shape[0]
+    # min-label propagation along the pairs, with pointer jumping
+    label = np.arange(nblocks + dim)
+    na, nb = node[a], node[b]
+    while True:
+        low = np.minimum(label[na], label[nb])
+        hooked = label.copy()
+        np.minimum.at(hooked, na, low)
+        np.minimum.at(hooked, nb, low)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    comp = label[node]
+    joined = np.zeros(label.size, dtype=bool)
+    joined[label[na]] = True
+    moved = joined[comp]  # index lies in a new block
+    members = np.flatnonzero(moved)
+    members = members[np.argsort(comp[members], kind="stable")]  # by component, ascending
+    starts = np.flatnonzero(np.diff(comp[members], prepend=-1))
+    sizes = np.diff(starts, append=members.size)
+    local = np.empty(dim, dtype=np.int64)
+    local[members] = np.arange(members.size) - np.repeat(starts, sizes)
+    size_of = np.zeros(label.size, dtype=np.int64)
+    size_of[comp[members[starts]]] = sizes
+    slot = np.empty(label.size, dtype=np.int64)
+
+    pops = rho.populations.copy()
+    free = moved & (node >= nblocks)
+    groups = []
+    for index, values in rho.groups:
+        stays = ~moved[index[:, 0]]
+        if stays.all():
+            groups.append((index, values))
+        elif stays.any():
+            groups.append((index[stays], values[stays]))
+    c, s = unitary._cos, unitary._sin
+    for k in np.unique(sizes):
+        index = members[starts[sizes == k][:, None] + np.arange(k)]
+        slot[comp[index[:, 0]]] = np.arange(index.shape[0])
+        block = np.zeros((index.shape[0], k, k), dtype=complex)
+        row, col = np.nonzero(free[index])
+        block[row, col, col] = pops[index[row, col]]
+        for old, values in rho.groups:
+            here = moved[old[:, 0]] & (size_of[comp[old[:, 0]]] == k)
+            pos = local[old[here]]
+            block[slot[comp[old[here, 0]]][:, None, None], pos[:, :, None], pos[:, None, :]] = \
+                values[here]
+        pick = size_of[comp[a]] == k
+        rows, la, lb = slot[comp[a[pick]]], local[a[pick]], local[b[pick]]
+        ca, sa = c[pick, None], s[pick, None]
+        row_a, row_b = block[rows, la], block[rows, lb]
+        block[rows, la] = ca * row_a + sa * row_b
+        block[rows, lb] = -sa * row_a + ca * row_b
+        col_a, col_b = block[rows, :, la], block[rows, :, lb]
+        block[rows, :, la] = ca * col_a + sa * col_b
+        block[rows, :, lb] = -sa * col_a + ca * col_b
+        groups.append((index, block))
+    pops[members] = 0.0
+    return _Parts(pops, groups)
+
+
 def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
     """Conjugate a state by a unitary: U rho U^dagger.
 
-    Accepts either a dense matrix (checked for unitarity) or a
-    StructuredUnitary, whose pair rotations are applied as vectorized row
-    and column updates without materializing the full matrix.
+    Accepts either a dense matrix (checked for unitarity; the state is
+    built densely and the result is one dense block) or a
+    StructuredUnitary, whose pair rotations update the state's blocks
+    (or its one dense block) without a dense matrix.
     """
     if isinstance(unitary, StructuredUnitary):
         if unitary.dim != rho.dim:
             raise ShapeError(
                 f"unitary dimension {unitary.dim} does not match state dimension {rho.dim}"
             )
-        return DensityMatrix(_Fresh(_rotate(rho.entries, unitary)))
+        dense = rho._dense_block()
+        if dense is not None:
+            return DensityMatrix(_single_block(_rotate(dense, unitary)))
+        return DensityMatrix(_rotate_parts(rho, unitary))
 
     mat = np.asarray(unitary, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -420,7 +627,8 @@ def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
         raise ShapeError(
             f"unitary dimension {mat.shape[0]} does not match state dimension {rho.dim}"
         )
+    _check_dense_size(rho.dim)
     defect = float(np.abs(mat @ mat.conj().T - np.eye(rho.dim)).max())
     if defect > UNITARY_TOL:
         raise ValidityError(f"matrix is not unitary (defect {defect:.3e})")
-    return DensityMatrix(_Fresh(mat @ rho.entries @ mat.conj().T))
+    return DensityMatrix(_single_block(mat @ rho.entries @ mat.conj().T))

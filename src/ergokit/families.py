@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, SystemSpec, hamming_weights
+from .core import DensityMatrix, SystemSpec, _Parts, hamming_weights
 from .errors import DomainError, InfeasibilityError, UnsupportedError
 from .passivity import thermal_entropy, thermal_params
 
@@ -112,12 +112,17 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
         raise UnsupportedError("the Dicke mixture is implemented for qubits only")
     p = thermal_params(spec).populations[1]
     n = spec.n
-    # rows of sqrt-weighted Dicke vectors; the state is rows^T rows
-    rows = np.zeros((n + 1, spec.dim))
+    # one constant block amp^2 per shell; shells of equal size share a group
+    shells: dict[int, list] = {}
     for k in range(n + 1):
         amp = math.sqrt(p ** k * (1.0 - p) ** (n - k))
-        rows[k, dicke_index_set(n, k)] = amp
-    return DensityMatrix(rows.T @ rows)
+        shells.setdefault(math.comb(n, k), []).append((dicke_index_set(n, k), amp * amp))
+    groups = []
+    for size, same in shells.items():
+        weights = np.array([w for _, w in same], dtype=complex)
+        groups.append((np.stack([index for index, _ in same]),
+                       np.repeat(weights, size * size).reshape(-1, size, size)))
+    return DensityMatrix(_Parts(np.zeros(spec.dim), groups))
 
 
 def smallest_shell_for_entropy(n: int, entropy: float) -> int:

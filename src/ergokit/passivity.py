@@ -22,7 +22,7 @@ from .core import (
     ShapeError,
     SystemSpec,
     _coherence_max,
-    _eigvalsh,
+    _stack_eigenvalues,
     state_eigenvalues,
 )
 from .errors import DomainError, NumericalError, UnsupportedError
@@ -58,9 +58,13 @@ class ThermalParams:
 
     @property
     def entropy(self) -> float:
-        pops = np.asarray(self.populations)
-        nz = pops[pops > 0.0]
-        return float(-(nz * np.log(nz)).sum())
+        """beta <E> + ln Z, with ln Z = log1p(excited Boltzmann weights).
+
+        Summing -p ln p instead loses the ground term's digits once p0 is
+        within an ulp of 1 (beta E of about 30 and above).
+        """
+        excited = self.partition_function * math.fsum(self.populations[1:])
+        return self.beta_prime * self.mean_energy + math.log1p(excited)
 
 
 @dataclass(frozen=True)
@@ -154,23 +158,57 @@ def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
 
     Energies sorted ascending form one degenerate shell while each lies
     within 1e-9 of the one before.  Coherence is allowed only inside a
-    shell; each shell's eigenvalues (those of its block, sorted descending)
-    then take the place of its populations, so any ordering inside a shell
-    is passive.
+    shell, and is read from the blocks; a shell's eigenvalues then take the
+    place of its populations, so any ordering inside a shell is passive.
+    Each shell's eigenvalues come from the pieces the blocks cut out of it:
+    a piece without coherence gives its populations, and equal-size
+    coherent pieces share one solve.
     """
     energies = _checked_hamiltonian(rho, hamiltonian)
     order = np.argsort(energies, kind="stable")
     steps = np.diff(energies[order]) > 1e-9
-    shells = np.split(order, np.flatnonzero(steps) + 1)
-    labels = np.empty(rho.dim, dtype=np.int64)
-    labels[order] = np.concatenate([[0], np.cumsum(steps)])
-    if _coherence_max(rho.entries, labels) > 1e-10:
+    shell = np.empty(rho.dim, dtype=np.int64)
+    shell[order] = np.concatenate([[0], np.cumsum(steps)])
+    if _coherence_max(rho, shell) > 1e-10:
         return False
-    seq = np.concatenate([
-        np.sort(_eigvalsh(rho.entries[np.ix_(members, members)]))[::-1]
-        for members in shells
-    ])
-    return bool(np.all(np.diff(seq) <= 1e-12))
+    values, where = _shell_eigenvalues(rho, shell)
+    top = np.full(steps.sum() + 1, -np.inf)
+    np.maximum.at(top, where, values)
+    low = np.full(top.size, np.inf)
+    np.minimum.at(low, where, values)
+    return bool(np.all(top[1:] - low[:-1] <= 1e-12))
+
+
+def _shell_eigenvalues(rho: DensityMatrix, shell: np.ndarray):
+    """Eigenvalues of rho cut to its shells, and the shell of each.
+
+    A block meets each shell in a piece (the block's indices in that
+    shell); coherence between pieces is ignored, which is_passive has
+    bounded by 1e-10 before.
+    """
+    free = np.ones(rho.dim, dtype=bool)
+    values, where = [], []
+    for index, block in rho.groups:
+        free[index] = False
+        lab = shell[index]
+        perm = np.argsort(lab, axis=1, kind="stable")
+        lab = np.take_along_axis(lab, perm, axis=1)
+        start = np.ones(lab.shape, dtype=bool)
+        start[:, 1:] = lab[:, 1:] != lab[:, :-1]
+        row, col = np.nonzero(start)
+        size = np.diff(np.flatnonzero(start.ravel()), append=start.size)
+        for k in np.unique(size):
+            r, c = row[size == k], col[size == k]
+            pos = perm[r[:, None], c[:, None] + np.arange(k)]
+            piece = block[r[:, None, None], pos[:, :, None], pos[:, None, :]]
+            eig = piece.diagonal(axis1=1, axis2=2).real.copy()
+            coherent = (piece * ~np.eye(k, dtype=bool)).any(axis=(1, 2))
+            eig[coherent] = _stack_eigenvalues(piece[coherent])
+            values.append(eig.ravel())
+            where.append(np.repeat(lab[r, c], k))
+    values.append(rho.populations[free])
+    where.append(shell[free])
+    return np.concatenate(values), np.concatenate(where)
 
 
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:

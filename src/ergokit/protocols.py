@@ -60,14 +60,8 @@ def pair_rotation_unitary(spec: SystemSpec, angle: float) -> StructuredUnitary:
     left untouched.  For odd n this yields 2^(n-1) rotations.
     """
     _require_qubits(spec)
-    weights = hamming_weights(spec.n)
-    mask = spec.dim - 1
-    rotations = tuple(
-        (i, mask ^ i, float(angle))
-        for i in range(spec.dim)
-        if 2 * int(weights[i]) < spec.n
-    )
-    return StructuredUnitary(rotations=rotations, dim=spec.dim)
+    low = np.flatnonzero(2 * hamming_weights(spec.n) < spec.n)
+    return StructuredUnitary.from_pairs(low, (spec.dim - 1) ^ low, float(angle), spec.dim)
 
 
 def level_inversion_unitary(spec: SystemSpec, level: int) -> StructuredUnitary:
@@ -75,10 +69,8 @@ def level_inversion_unitary(spec: SystemSpec, level: int) -> StructuredUnitary:
     _require_qubits(spec)
     if not 0 <= level < spec.n / 2:
         raise DomainError(f"level {level} outside [0, n/2) for n = {spec.n}")
-    mask = spec.dim - 1
-    rotations = tuple((int(i), mask ^ int(i), math.pi / 2)
-                      for i in dicke_index_set(spec.n, level))
-    return StructuredUnitary(rotations=rotations, dim=spec.dim)
+    shell = dicke_index_set(spec.n, level)
+    return StructuredUnitary.from_pairs(shell, (spec.dim - 1) ^ shell, math.pi / 2, spec.dim)
 
 
 def measure_bias(rho: DensityMatrix, spec: SystemSpec, subsystem: int = 1) -> float:

@@ -300,6 +300,22 @@ def test_structured_unitary_validation():
     assert float(np.abs(mat @ mat.conj().T - np.eye(4)).max()) <= 1e-12
 
 
+def test_structured_unitary_from_pairs_matches_listed_rotations():
+    built = StructuredUnitary.from_pairs([0, 1], [3, 2], [0.4, 0.9], dim=4)
+    listed = StructuredUnitary(rotations=((0, 3, 0.4), (1, 2, 0.9)), dim=4)
+    assert built.rotations == listed.rotations
+    np.testing.assert_array_equal(built.materialize(), listed.materialize())
+    assert StructuredUnitary.from_pairs([0], [3], 0.25, dim=4).rotations == ((0, 3, 0.25),)
+    with pytest.raises(ValidityError):
+        StructuredUnitary.from_pairs([0, 1], [1, 2], 0.1, dim=4)
+    with pytest.raises(ValidityError):
+        StructuredUnitary.from_pairs([0], [4], 0.1, dim=4)
+    with pytest.raises(ShapeError):
+        StructuredUnitary.from_pairs([0, 1], [3], 0.1, dim=4)
+    with pytest.raises(ShapeError):
+        StructuredUnitary.from_pairs([0, 1], [3, 2], [0.1, 0.2, 0.3], dim=4)
+
+
 # ---------------------------------------------------------------------------
 # DensityMatrix validation
 # ---------------------------------------------------------------------------

@@ -191,6 +191,16 @@ def test_dicke_mixture_matches_thermal_diagonal():
         assert_locally_thermal(state, spec)
 
 
+def test_dicke_blocks_equal_the_dense_gram_matrix_bit_for_bit():
+    for n in range(1, 9):
+        spec = SystemSpec.qubits(n, 0.8)
+        p = thermal_params(spec).populations[1]
+        rows = np.zeros((n + 1, spec.dim))
+        for k in range(n + 1):
+            rows[k, dicke_index_set(n, k)] = math.sqrt(p ** k * (1.0 - p) ** (n - k))
+        np.testing.assert_array_equal(dicke_thermal_mixture(spec).entries, rows.T @ rows)
+
+
 def test_dicke_mixture_rejects_qudits():
     spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
     with pytest.raises(UnsupportedError):

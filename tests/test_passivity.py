@@ -280,6 +280,29 @@ def test_beta_for_entropy_recovers_beta(beta_e):
         assert abs(found - beta) <= 1e-9 * beta
 
 
+def closed_form_qubit_entropy(x: float) -> float:
+    """Entropy of a qubit Gibbs state at beta E = x: x p1 + ln Z, with ln Z = log1p(e^-x)."""
+    q = math.exp(-x)
+    return x * q / (1.0 + q) + math.log1p(q)
+
+
+@pytest.mark.parametrize("beta_e", [30.0, 35.0, 40.0])
+def test_thermal_entropy_and_figure1_at_large_beta_match_closed_forms(beta_e):
+    spec = SystemSpec.qubits(2, beta_e)
+    exact = closed_form_qubit_entropy(beta_e)
+    assert abs(thermal_entropy(spec) - exact) <= 1e-13 * exact
+    # n = 2: the bound's product state holds half that entropy per qubit
+    lo, hi = beta_e, beta_e + 40.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if closed_form_qubit_entropy(mid) > 0.5 * exact:
+            lo = mid
+        else:
+            hi = mid
+    ratio = 1.0 - (1.0 + math.exp(beta_e)) / (1.0 + math.exp(lo))
+    assert abs(figure1_rows(beta_e, 2)[1].entropy_bound_ratio - ratio) <= 1e-7
+
+
 def test_beta_for_entropy_qutrit():
     spec = SystemSpec(n=1, d=3, local_energies=(0.0, 1.0, 2.5), beta=1.0)
     params = beta_for_entropy(spec, 0.6)

@@ -1,0 +1,260 @@
+"""States stored as populations plus coherence blocks: agreement with the dense matrix, memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ergokit import (
+    Bipartition,
+    CapacityError,
+    DensityMatrix,
+    InfeasibilityError,
+    StructuredUnitary,
+    SystemSpec,
+    apply_unitary,
+    build_hamiltonian,
+    diagonal_state_at_entropy,
+    dicke_thermal_mixture,
+    entangled_pure_state,
+    ergotropy,
+    is_passive,
+    level_inversion_unitary,
+    measure_bias,
+    mutual_information_multipartite,
+    pair_rotation_unitary,
+    partial_trace_to,
+    partial_transpose,
+    passive_state,
+    product_thermal_state,
+    separable_optimal_state,
+    state_eigenvalues,
+    thermal_entropy,
+    thermal_state,
+    von_neumann_entropy,
+)
+from ergokit import cli, core
+from ergokit.core import _Parts
+from strategies import specs
+
+# (n, d) with d**n <= 64
+SHAPES = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
+          (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (3, 4)]
+
+
+@st.composite
+def structured_states(draw):
+    """A random state of free populations and disjoint blocks of sizes 1-4, with its spec.
+
+    Blocks are random positive matrices, real or complex, on shuffled
+    indices; the indices left over carry random populations.
+    """
+    n, d = draw(st.sampled_from(SHAPES))
+    dim = d ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(dim)
+    blocks, used = [], 0
+    for k in draw(st.lists(st.integers(1, 4), max_size=dim)):
+        if used + k > dim:
+            break
+        blocks.append(np.sort(order[used:used + k]))
+        used += k
+    pops = np.zeros(dim)
+    pops[order[used:]] = rng.uniform(0.0, 1.0, dim - used)
+    groups = []
+    for k in sorted({block.size for block in blocks}):
+        index = np.array([block for block in blocks if block.size == k])
+        g = rng.standard_normal((len(index), k, k)) + 1j * draw(st.sampled_from([0.0, 1.0])) \
+            * rng.standard_normal((len(index), k, k))
+        groups.append((index, g @ g.conj().transpose(0, 2, 1)))
+    total = pops.sum() + sum(v.trace(axis1=1, axis2=2).real.sum() for _, v in groups)
+    state = DensityMatrix(_Parts(pops / total, [(i, v / total) for i, v in groups]))
+    spec = SystemSpec(n=n, d=d, local_energies=tuple(range(d)), beta=1.0)
+    return state, spec
+
+
+def dense_partial_trace(arr: np.ndarray, spec: SystemSpec, keep: int) -> np.ndarray:
+    d = spec.d
+    tensor = arr.reshape(d ** (keep - 1), d, d ** (spec.n - keep),
+                         d ** (keep - 1), d, d ** (spec.n - keep))
+    return np.trace(np.trace(tensor, axis1=0, axis2=3), axis1=1, axis2=3)
+
+
+def dense_is_passive(arr: np.ndarray, energies: np.ndarray) -> bool:
+    """Coherence only inside energy shells, and shell spectra falling with energy."""
+    order = np.argsort(energies, kind="stable")
+    steps = np.diff(energies[order]) > 1e-9
+    label = np.empty(energies.size, dtype=int)
+    label[order] = np.concatenate([[0], np.cumsum(steps)])
+    if np.abs(arr)[label[:, None] != label[None, :]].max(initial=0.0) > 1e-10:
+        return False
+    seq = np.concatenate([np.sort(np.linalg.eigvalsh(arr[np.ix_(shell, shell)]))[::-1]
+                          for shell in np.split(order, np.flatnonzero(steps) + 1)])
+    return bool(np.all(np.diff(seq) <= 1e-12))
+
+
+@settings(max_examples=120)
+@given(drawn=structured_states())
+def test_parts_agree_with_the_dense_matrix(drawn):
+    rho, spec = drawn
+    dense = rho.entries
+    spectrum = np.sort(np.linalg.eigvalsh(dense))[::-1]
+    assert not rho.populations.flags.writeable
+    assert not any(a.flags.writeable for group in rho.groups for a in group)
+    # the same state held as one dense block takes the dense paths
+    for state in (rho, DensityMatrix(dense)):
+        assert float(np.abs(state_eigenvalues(state) - spectrum).max()) <= 1e-12
+        np.testing.assert_array_equal(state.diagonal, dense.diagonal().real)
+        assert state.off_diagonal_max() == np.abs(dense - np.diag(dense.diagonal())).max()
+        for keep in range(1, spec.n + 1):
+            reduced = partial_trace_to(state, spec, keep).entries
+            assert float(np.abs(reduced - dense_partial_trace(dense, spec, keep)).max()) <= 1e-12
+    # both forms sum a marginal's populations in the same order
+    for keep in range(1, spec.n + 1):
+        np.testing.assert_array_equal(partial_trace_to(rho, spec, keep).diagonal,
+                                      partial_trace_to(DensityMatrix(dense), spec, keep).diagonal)
+
+
+@settings(max_examples=120)
+@given(drawn=structured_states(), data=st.data())
+def test_is_passive_agrees_with_the_dense_matrix(drawn, data):
+    rho, spec = drawn
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    energies = rng.integers(0, 3, rho.dim).astype(float)
+    if data.draw(st.booleans()):
+        # every block inside one shell, so passivity turns on the shell spectra
+        for index, _ in rho.groups:
+            energies[index] = energies[index[:, :1]]
+    expected = dense_is_passive(rho.entries, energies)
+    for state in (rho, DensityMatrix(rho.entries)):
+        assert is_passive(state, energies) == expected
+        assert is_passive(passive_state(state, energies), energies)
+
+
+@settings(max_examples=120)
+@given(drawn=structured_states(), data=st.data())
+def test_pair_rotations_agree_with_dense_conjugation(drawn, data):
+    rho, _ = drawn
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [list(row) for index, _ in rho.groups for row in index]
+    in_block = {i for block in blocks for i in block}
+    free = [i for i in range(rho.dim) if i not in in_block]
+    pairs, taken = [], set()
+
+    def take(a, b):
+        if a != b and not {a, b} & taken:
+            pairs.append((a, b))
+            taken.update((a, b))
+
+    if len(free) >= 2:
+        take(free[0], free[1])  # free with free
+    sized = [block for block in blocks if len(block) >= 2]
+    if sized:
+        take(sized[0][0], sized[0][1])  # inside one block
+    if len(blocks) >= 2:
+        take(blocks[-1][-1], blocks[-2][-1])  # merging two blocks
+    rest = [int(i) for i in rng.permutation(rho.dim) if i not in taken]
+    extra = data.draw(st.integers(0, len(rest) // 2))
+    pairs += [(rest[2 * k], rest[2 * k + 1]) for k in range(extra)]
+    angles = rng.choice([np.pi / 2, 0.0, -np.pi / 2, rng.uniform(-7.0, 7.0)], len(pairs))
+    unitary = StructuredUnitary([(a, b, t) for (a, b), t in zip(pairs, angles)], rho.dim)
+    out = apply_unitary(rho, unitary)
+    mat = unitary.materialize()
+    assert float(np.abs(out.entries - mat @ rho.entries @ mat.conj().T).max()) <= 1e-12
+    # the block update repeats the dense update's arithmetic
+    np.testing.assert_array_equal(out.entries,
+                                  apply_unitary(DensityMatrix(rho.entries), unitary).entries)
+
+
+@settings(max_examples=60)
+@given(spec=specs(max_dim=256))
+@example(spec=SystemSpec(n=4, d=2, local_energies=(0.0, 0.0), beta=30.0))
+@example(spec=SystemSpec(n=3, d=2, local_energies=(0.0, 1.0), beta=0.0))
+@example(spec=SystemSpec(n=5, d=2, local_energies=(0.0, 1.0), beta=30.0))
+def test_family_marginals_are_thermal(spec):
+    tau = thermal_state(spec).entries
+    states = {"product": product_thermal_state(spec)}
+    if spec.n >= 2:
+        states["entangled"] = entangled_pure_state(spec)
+        states["separable"] = separable_optimal_state(spec)
+    if spec.d == 2:
+        states["dicke"] = dicke_thermal_mixture(spec)
+        try:
+            states["fixed-entropy"] = diagonal_state_at_entropy(
+                spec, thermal_entropy(spec) + 0.3)[0]
+        except InfeasibilityError:
+            pass
+    for name, state in states.items():
+        for keep in range(1, spec.n + 1):
+            gap = float(np.abs(partial_trace_to(state, spec, keep).entries - tau).max())
+            assert gap <= 1e-12, f"{name}: marginal {keep} off thermal by {gap}"
+
+
+def package_states(spec: SystemSpec) -> dict:
+    start = product_thermal_state(spec, 1.5)
+    return {
+        "separable": separable_optimal_state(spec),
+        "entangled": entangled_pure_state(spec),
+        "dicke": dicke_thermal_mixture(spec),
+        "fixed-entropy": diagonal_state_at_entropy(spec, thermal_entropy(spec) + 0.5)[0],
+        "rotated": apply_unitary(start, pair_rotation_unitary(spec, 0.4)),
+        "inverted": apply_unitary(start, level_inversion_unitary(spec, 1)),
+    }
+
+
+def test_package_states_never_build_a_dense_matrix(monkeypatch):
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
+    spec = SystemSpec.qubits(6, 1.0)
+    ham = build_hamiltonian(spec)
+    for name, state in package_states(spec).items():
+        assert state._dense_block() is None, name
+        von_neumann_entropy(state)
+        ergotropy(state, ham, spec)
+        is_passive(state, ham)
+        is_passive(passive_state(state, ham), ham)
+        mutual_information_multipartite(state, spec)
+        measure_bias(state, spec)
+        with pytest.raises(CapacityError):
+            state.entries
+
+
+def test_states_at_n12_stay_within_16_mb():
+    spec = SystemSpec.qubits(12, 1.0)
+    ham = build_hamiltonian(spec)
+    tracemalloc.start()
+    try:
+        for state in (separable_optimal_state(spec), entangled_pure_state(spec),
+                      apply_unitary(product_thermal_state(spec, 1.5),
+                                    pair_rotation_unitary(spec, 0.4))):
+            ergotropy(state, ham)
+            measure_bias(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_dense_arrays_are_sized_before_they_are_built(monkeypatch):
+    spec = SystemSpec.qubits(9, 1.0)
+    state = entangled_pure_state(spec)
+    dense = DensityMatrix(state.entries)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2 - 1)
+    with pytest.raises(CapacityError):
+        state.entries
+    for rho in (state, dense):
+        with pytest.raises(CapacityError):
+            partial_transpose(rho, spec, Bipartition.half_split(spec.n))
+    with pytest.raises(CapacityError):
+        apply_unitary(state, np.eye(spec.dim))
+    with pytest.raises(CapacityError):
+        pair_rotation_unitary(spec, 0.3).materialize()
+    # a sweep cell that needs a dense partial transpose becomes an infeasible row
+    row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True,
+                                          dim_cap=spec.dim))
+    assert row["status"] == "ok"
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
+    row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True))
+    assert row["status"] == "infeasible" and "bytes" in row["note"]
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2)
+    assert state.entries.shape == (spec.dim, spec.dim)
