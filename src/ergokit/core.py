@@ -9,9 +9,10 @@ every basis index outside a block, and dense Hermitian blocks on
 disjoint index sets.  The diagonal, entangled and pair-rotated states
 hold O(dim) numbers this way and the Dicke mixture one block per
 excitation shell, so building, rotating, tracing and solving the
-package's states never touches a dim x dim array; a caller's dense array
-is one block over every index.  The spectrum is solved block by block
-and cached on the state, so each state is solved once.
+package's states never touches a dim x dim array.  A caller's dense array
+is stored as one block over every index and takes the same paths as any
+other state.  The spectrum is solved block by block and cached on the
+state, so each state is solved once.
 
 Conventions
 -----------
@@ -51,8 +52,9 @@ UNITARY_TOL = 1e-10
 # square tiles of the Hermiticity check: 128 x 128 complex entries (256 kB),
 # so a tile and its transposed partner stay in cache
 _HERMITICITY_TILE = 128
-# entries per row group or row slab of a pair-rotation update (512 kB)
-_ROTATION_SLAB = 1 << 15
+# entries per temporary of the updates done a slab at a time: pair rotations
+# and the partial transpose's component blocks (512 kB)
+_SLAB = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +129,15 @@ def hamming_weights(n: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
+def _check_bytes(size: int, what: str):
+    """Raise CapacityError before building arrays of size bytes over DENSE_BYTES_MAX."""
+    if size > DENSE_BYTES_MAX:
+        raise CapacityError(f"{what} needs {size} bytes, over the limit of {DENSE_BYTES_MAX}")
+
+
 def _check_dense_size(dim: int):
     """Raise CapacityError before a dense complex dim x dim array over DENSE_BYTES_MAX."""
-    size = 16 * dim * dim
-    if size > DENSE_BYTES_MAX:
-        raise CapacityError(
-            f"a dense {dim} x {dim} matrix needs {size} bytes, "
-            f"over the limit of {DENSE_BYTES_MAX}"
-        )
+    _check_bytes(16 * dim * dim, f"a dense {dim} x {dim} matrix")
 
 
 def _hermiticity_defect(arr: np.ndarray) -> float:
@@ -196,8 +199,9 @@ class DensityMatrix:
     block indices).  groups is a tuple of (index, values) pairs: index has
     shape (m, k) with ascending rows, values has shape (m, k, k), and all
     blocks are disjoint.  A dense array given by a caller is copied into one
-    block over every index.  entries is the dense matrix, built on each
-    access (read-only) unless the state is that one block.
+    block over every index, which every operation treats as it treats the
+    package's blocks.  entries is the dense matrix, assembled from the parts
+    on each access (read-only); it raises CapacityError over DENSE_BYTES_MAX.
 
     Finite entries, Hermiticity and trace are verified at construction;
     positivity is verified wherever eigenvalues are computed (eigenvalues
@@ -235,9 +239,6 @@ class DensityMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        dense = self._dense_block()
-        if dense is not None:
-            return dense
         _check_dense_size(self.dim)
         arr = np.zeros((self.dim, self.dim), dtype=complex)
         np.fill_diagonal(arr, self.populations)
@@ -255,12 +256,6 @@ class DensityMatrix:
 
     def off_diagonal_max(self) -> float:
         return _coherence_max(self, np.arange(self.dim))
-
-    def _dense_block(self) -> np.ndarray | None:
-        """The matrix itself when the state is one block over every index."""
-        if len(self.groups) == 1 and self.groups[0][0].shape == (1, self.dim):
-            return self.groups[0][1][0]
-        return None
 
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
@@ -368,10 +363,9 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
     """Reduced state of one subsystem (1-based index), tracing out the rest.
 
-    The diagonal sums the full diagonal in index order, as the dense
-    einsum does, so a state and its dense form give the same bits; an
-    off-diagonal entry sums the block entries whose two indices differ
-    only in the kept digit.  A single dense block is traced as one tensor.
+    The diagonal sums the full diagonal in index order; an off-diagonal
+    entry sums the block entries whose two indices differ only in the kept
+    digit.
     """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
@@ -380,10 +374,6 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
     d = spec.d
     left = d ** (keep - 1)
     right = d ** (spec.n - keep)
-    dense = rho._dense_block()
-    if dense is not None:
-        tensor = dense.reshape(left, d, right, left, d, right)
-        return DensityMatrix(_single_block(np.einsum("iajibj->ab", tensor)))
     out = np.zeros((d, d), dtype=complex)
     by_digit = rho.diagonal.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
     np.fill_diagonal(out, np.cumsum(by_digit, axis=1)[:, -1])
@@ -394,29 +384,6 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
         rows, cols = np.broadcast_arrays(digit[:, :, None], digit[:, None, :])
         np.add.at(out, (rows[link], cols[link]), values[link])
     return DensityMatrix(_single_block(out))
-
-
-def _block_eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian array, unsorted, one connected block at a time.
-
-    Blocks are the connected components of the nonzero pattern (i and j are
-    linked when arr[i, j] or arr[j, i] is nonzero); isolated indices take
-    their diagonal entry, equal-size blocks share one solver call and a
-    block covering every index is solved in place.
-    """
-    linked = arr != 0
-    np.fill_diagonal(linked, False)
-    members = np.flatnonzero(linked.any(axis=1) | linked.any(axis=0))
-    labels = _component_labels(linked, members)
-    values = [np.delete(arr.diagonal().real, members)]
-    order = np.argsort(labels, kind="stable")  # members of a component are contiguous
-    sizes = np.bincount(labels)[labels[order]]
-    for size in np.unique(sizes):
-        if size == arr.shape[0]:
-            return _eigvalsh(arr)
-        index = members[order[sizes == size]].reshape(-1, size)
-        values.append(_stack_eigenvalues(arr[index[:, :, None], index[:, None, :]]).ravel())
-    return np.concatenate(values)
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
@@ -430,58 +397,73 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of each block of an (m, k, k) stack, as (m, k).
 
-    Real blocks take the real solver, the others one complex solve.
+    Real blocks take the real solver, the others one complex solve; a
+    stack of one kind is solved as it is, without a copy.
     """
     complex_ = stack.imag.any(axis=(1, 2))
+    if complex_.all() or not complex_.any():
+        return _eigvalsh(stack)
     out = np.empty(stack.shape[:2])
     out[~complex_] = _eigvalsh(stack[~complex_])
     out[complex_] = _eigvalsh(stack[complex_])
     return out
 
 
-def _component_labels(linked: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Per member, the smallest index in its component (min-label propagation).
+def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node of range(size), the smallest node of its component under edges (a[k], b[k]).
 
-    Member row slabs of at most 2^20 entries pass labels along their links
-    both ways, so the one dim x dim mask is never transposed.
+    Min-label propagation along the edges, with pointer jumping.
     """
-    dim = linked.shape[0]
-    step = max(1, (1 << 20) // dim)
-    labels = np.arange(dim)
+    label = np.arange(size)
     while True:
-        hooked = labels.copy()
-        for lo in range(0, members.size, step):
-            rows = members[lo:lo + step]
-            slab = linked[rows]
-            hooked[rows] = np.minimum(hooked[rows], np.where(slab, labels, dim).min(axis=1))
-            np.minimum(hooked, np.where(slab, labels[rows, None], dim).min(axis=0), out=hooked)
-        hooked = hooked[hooked]  # pointer jumping
-        if np.array_equal(hooked, labels):
-            return labels[members]
-        labels = hooked
+        low = np.minimum(label[a], label[b])
+        hooked = label.copy()
+        np.minimum.at(hooked, a, low)
+        np.minimum.at(hooked, b, low)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _components(comp: np.ndarray, member: np.ndarray):
+    """The indices where member is set, grouped by their component label comp.
+
+    Returns a dict from size k to an (m, k) array holding one component of
+    that size per row, members ascending and rows ordered by label; and,
+    per index, the size of its component (0 outside member), its row in
+    that array and its position in the row.
+    """
+    members = np.flatnonzero(member)
+    members = members[np.argsort(comp[members], kind="stable")]
+    starts = np.flatnonzero(np.diff(comp[members], prepend=-1))
+    sizes = np.diff(starts, append=members.size)
+    size, row, local = np.zeros((3, comp.size), dtype=np.int64)
+    size[members] = np.repeat(sizes, sizes)
+    local[members] = np.arange(members.size) - np.repeat(starts, sizes)
+    stacks = {}
+    for k in np.unique(sizes).tolist():
+        stacks[k] = members[starts[sizes == k][:, None] + np.arange(k)]
+        row[stacks[k]] = np.arange(stacks[k].shape[0])[:, None]
+    return stacks, size, row, local
 
 
 def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, sorted descending, as a read-only array.
 
     The populations outside blocks are eigenvalues as they are; each block
-    group is solved in one stacked call, and a single dense block one
-    connected component of its nonzero pattern at a time.  Solved on the
-    first call and cached on the state, so entropy, ergotropy and the
-    passive state of one state share one solve.
+    group is solved in one stacked call, so a caller's dense array is
+    solved as one block.  Solved on the first call and cached on the state,
+    so entropy, ergotropy and the passive state of one state share one
+    solve.
     """
     if rho._spectrum is None:
-        dense = rho._dense_block()
-        if dense is not None:
-            vals = _block_eigenvalues(dense)
-        else:
-            free = np.ones(rho.dim, dtype=bool)
-            blocks = []
-            for index, values in rho.groups:
-                free[index] = False
-                blocks.append(_stack_eigenvalues(values).ravel())
-            vals = np.concatenate([rho.populations[free], *blocks])
-        vals = np.sort(vals)[::-1]
+        free = np.ones(rho.dim, dtype=bool)
+        blocks = []
+        for index, values in rho.groups:
+            free[index] = False
+            blocks.append(_stack_eigenvalues(values).ravel())
+        vals = np.sort(np.concatenate([rho.populations[free], *blocks]))[::-1]
         if vals[-1] < -PSD_TOL:
             raise ValidityError(f"state has eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
         vals.setflags(write=False)
@@ -496,41 +478,17 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(nz * np.log(nz)).sum() + 0.0)
 
 
-def _rotate(entries: np.ndarray, unitary: StructuredUnitary) -> np.ndarray:
-    """U entries U^dagger for pair rotations: rows, then columns.
-
-    Row pairs are updated a group of rotations at a time and column pairs
-    one contiguous row slab at a time; each temporary holds at most
-    _ROTATION_SLAB entries.  The expressions are those of a per-rotation
-    update, so the entries are bit-identical to it.
-    """
-    out = entries.copy()
-    dim = out.shape[0]
-    a, b = unitary._pairs
-    c, s = unitary._cos, unitary._sin
-    step = max(1, _ROTATION_SLAB // dim)
-    for lo in range(0, a.size, step):
-        ia, ib = a[lo:lo + step], b[lo:lo + step]
-        ca, sa = c[lo:lo + step, None], s[lo:lo + step, None]
-        row_a, row_b = out[ia], out[ib]
-        out[ia] = ca * row_a + sa * row_b
-        out[ib] = -sa * row_a + ca * row_b
-    for lo in range(0, dim, step):
-        rows = out[lo:lo + step]
-        col_a, col_b = rows[:, a], rows[:, b]
-        rows[:, a] = c * col_a + s * col_b
-        rows[:, b] = -s * col_a + c * col_b
-    return out
-
-
 def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
     """Parts of U rho U^dagger for pair rotations, without a dense matrix.
 
     The new blocks are the connected components of the old blocks together
     with the rotation pairs.  Each is assembled from its old blocks and
-    populations and rotated with _rotate's expressions, rows then columns,
-    so its entries are bit-identical to the dense update; blocks and
-    populations no rotation touches are kept as they are.
+    populations and rotated with the expressions of a per-rotation update,
+    rows then columns, so its entries are bit-identical to that update;
+    blocks and populations no rotation touches are kept as they are.  Old
+    blocks are copied in, and pairs rotated, a slab at a time, so each
+    temporary holds at most _SLAB entries, or one row of every old
+    block it copies in.
     """
     dim = rho.dim
     a, b = unitary._pairs
@@ -541,31 +499,13 @@ def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
     for index, _ in rho.groups:
         node[index] = first + np.arange(index.shape[0])[:, None]
         first += index.shape[0]
-    # min-label propagation along the pairs, with pointer jumping
-    label = np.arange(nblocks + dim)
     na, nb = node[a], node[b]
-    while True:
-        low = np.minimum(label[na], label[nb])
-        hooked = label.copy()
-        np.minimum.at(hooked, na, low)
-        np.minimum.at(hooked, nb, low)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            break
-        label = hooked
+    label = _component_labels(nblocks + dim, na, nb)
     comp = label[node]
     joined = np.zeros(label.size, dtype=bool)
     joined[label[na]] = True
     moved = joined[comp]  # index lies in a new block
-    members = np.flatnonzero(moved)
-    members = members[np.argsort(comp[members], kind="stable")]  # by component, ascending
-    starts = np.flatnonzero(np.diff(comp[members], prepend=-1))
-    sizes = np.diff(starts, append=members.size)
-    local = np.empty(dim, dtype=np.int64)
-    local[members] = np.arange(members.size) - np.repeat(starts, sizes)
-    size_of = np.zeros(label.size, dtype=np.int64)
-    size_of[comp[members[starts]]] = sizes
-    slot = np.empty(label.size, dtype=np.int64)
+    stacks, size, row, local = _components(comp, moved)
 
     pops = rho.populations.copy()
     free = moved & (node >= nblocks)
@@ -577,28 +517,32 @@ def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
         elif stays.any():
             groups.append((index[stays], values[stays]))
     c, s = unitary._cos, unitary._sin
-    for k in np.unique(sizes):
-        index = members[starts[sizes == k][:, None] + np.arange(k)]
-        slot[comp[index[:, 0]]] = np.arange(index.shape[0])
+    for k, index in stacks.items():
         block = np.zeros((index.shape[0], k, k), dtype=complex)
-        row, col = np.nonzero(free[index])
-        block[row, col, col] = pops[index[row, col]]
+        at, col = np.nonzero(free[index])
+        block[at, col, col] = pops[index[at, col]]
         for old, values in rho.groups:
-            here = moved[old[:, 0]] & (size_of[comp[old[:, 0]]] == k)
+            here = size[old[:, 0]] == k
             pos = local[old[here]]
-            block[slot[comp[old[here, 0]]][:, None, None], pos[:, :, None], pos[:, None, :]] = \
-                values[here]
-        pick = size_of[comp[a]] == k
-        rows, la, lb = slot[comp[a[pick]]], local[a[pick]], local[b[pick]]
+            dest = row[old[here, 0]][:, None, None]
+            step = max(1, _SLAB // max(1, pos.size))
+            for r in (slice(lo, lo + step) for lo in range(0, old.shape[1], step)):
+                block[dest, pos[:, r, None], pos[:, None, :]] = values[here, r]
+        pick = size[a] == k
+        rows, la, lb = row[a[pick]], local[a[pick]], local[b[pick]]
         ca, sa = c[pick, None], s[pick, None]
-        row_a, row_b = block[rows, la], block[rows, lb]
-        block[rows, la] = ca * row_a + sa * row_b
-        block[rows, lb] = -sa * row_a + ca * row_b
-        col_a, col_b = block[rows, :, la], block[rows, :, lb]
-        block[rows, :, la] = ca * col_a + sa * col_b
-        block[rows, :, lb] = -sa * col_a + ca * col_b
+        # rows of every pair, then columns a slab of block rows at a time, so
+        # the columns are read within rows that stay in cache
+        span = max(1, _SLAB // k)
+        for view in [block] + [block[:, lo:lo + span].swapaxes(1, 2) for lo in range(0, k, span)]:
+            step = max(1, _SLAB // view.shape[2])
+            for p in (slice(lo, lo + step) for lo in range(0, rows.size, step)):
+                at_a, at_b = (rows[p], la[p]), (rows[p], lb[p])
+                row_a, row_b = view[at_a], view[at_b]
+                view[at_a] = ca[p] * row_a + sa[p] * row_b
+                view[at_b] = -sa[p] * row_a + ca[p] * row_b
         groups.append((index, block))
-    pops[members] = 0.0
+    pops[moved] = 0.0
     return _Parts(pops, groups)
 
 
@@ -607,17 +551,14 @@ def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
 
     Accepts either a dense matrix (checked for unitarity; the state is
     built densely and the result is one dense block) or a
-    StructuredUnitary, whose pair rotations update the state's blocks
-    (or its one dense block) without a dense matrix.
+    StructuredUnitary, whose pair rotations update the state's parts
+    without a dense matrix.
     """
     if isinstance(unitary, StructuredUnitary):
         if unitary.dim != rho.dim:
             raise ShapeError(
                 f"unitary dimension {unitary.dim} does not match state dimension {rho.dim}"
             )
-        dense = rho._dense_block()
-        if dense is not None:
-            return DensityMatrix(_single_block(_rotate(dense, unitary)))
         return DensityMatrix(_rotate_parts(rho, unitary))
 
     mat = np.asarray(unitary, dtype=complex)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, SystemSpec, _Parts, hamming_weights
+from .core import DensityMatrix, SystemSpec, _Parts, _check_bytes, hamming_weights
 from .errors import DomainError, InfeasibilityError, UnsupportedError
 from .passivity import thermal_entropy, thermal_params
 
@@ -106,12 +106,15 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
 
     The weight on the k-excitation Dicke state is C(n,k) p^k (1-p)^(n-k),
     so the diagonal matches tau_beta^(x n) while each degenerate shell is
-    maximally coherent.  Rank is n + 1.
+    maximally coherent.  Rank is n + 1.  The shell blocks hold
+    sum_k C(n, k)^2 = C(2n, n) complex entries; raises CapacityError before
+    building them over core.DENSE_BYTES_MAX.
     """
     if spec.d != 2:
         raise UnsupportedError("the Dicke mixture is implemented for qubits only")
-    p = thermal_params(spec).populations[1]
     n = spec.n
+    _check_bytes(16 * math.comb(2 * n, n), f"the Dicke mixture's shell blocks at n = {n}")
+    p = thermal_params(spec).populations[1]
     # one constant block amp^2 per shell; shells of equal size share a group
     shells: dict[int, list] = {}
     for k in range(n + 1):

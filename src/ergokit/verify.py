@@ -159,9 +159,9 @@ def mixture_family_samples(rng, samples: int):
         spec = SystemSpec.qubits(n, beta)
         ham = build_hamiltonian(spec)
         t = 1.0 if k % 40 == 0 else float(rng.uniform())
-        mixed = DensityMatrix(
-            t * separable_optimal_state(spec).entries
-            + (1 - t) * product_thermal_state(spec).entries
+        mixed = DensityMatrix.from_diagonal(
+            t * separable_optimal_state(spec).diagonal
+            + (1 - t) * product_thermal_state(spec).diagonal
         )
         out.append((
             spec,
@@ -409,15 +409,15 @@ def check_witness_sign_agreement(rng):
 def check_separable_mixtures_ppt(rng):
     for n in range(2, 7):
         spec = SystemSpec.qubits(n, 1.0)
-        sep = separable_optimal_state(spec).entries
-        product = product_thermal_state(spec).entries
+        sep = separable_optimal_state(spec).diagonal
+        product = product_thermal_state(spec).diagonal
         splits = [
             Bipartition(side_a=frozenset({1} | set(extra)), n=n)
             for size in range(0, n - 1)
             for extra in itertools.combinations(range(2, n + 1), size)
         ]
         for t in (0.0, 0.3, 0.7, 1.0):
-            state = DensityMatrix(t * sep + (1 - t) * product)
+            state = DensityMatrix.from_diagonal(t * sep + (1 - t) * product)
             for split in splits:
                 smallest = min_pt_eigenvalue(state, spec, split)
                 assert smallest >= -1e-10, (

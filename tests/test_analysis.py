@@ -140,19 +140,6 @@ def test_witness_requires_even_qubit_count():
         npt_witness_half_split(SystemSpec.qubits(3, 1.0), 1.0, 0.3)
 
 
-def test_witness_sign_agreement_small_grid():
-    for n in (2, 4):
-        spec = SystemSpec.qubits(n, 1.0)
-        split = Bipartition.half_split(n)
-        for beta_prime in (0.5, 2.0):
-            start = product_thermal_state(spec, beta_prime)
-            for alpha in np.linspace(0.0, math.pi / 2, 9):
-                if npt_witness_half_split(spec, beta_prime, float(alpha)) > 1e-9:
-                    state = apply_unitary(start,
-                                          pair_rotation_unitary(spec, float(alpha)))
-                    assert min_pt_eigenvalue(state, spec, split) < -1e-10
-
-
 # ---------------------------------------------------------------------------
 # free energy and the bath bound
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ergokit import (
+    CapacityError,
     DensityMatrix,
     DomainError,
     InfeasibilityError,
@@ -29,6 +30,7 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
+from ergokit import cli, core
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -205,6 +207,19 @@ def test_dicke_mixture_rejects_qudits():
     spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
     with pytest.raises(UnsupportedError):
         dicke_thermal_mixture(spec)
+
+
+def test_dicke_blocks_are_sized_before_they_are_built(monkeypatch):
+    # the shell blocks hold C(2n, n) complex entries: 205,888 bytes at n = 8
+    spec = SystemSpec.qubits(8, 1.0)
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * math.comb(16, 8) - 1)
+    with pytest.raises(CapacityError, match="bytes"):
+        dicke_thermal_mixture(spec)
+    row, = cli.sweep_rows(cli.SweepConfig(family="dicke", n_values=(8,)))
+    assert row["status"] == "infeasible" and "bytes" in row["note"]
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * math.comb(16, 8))
+    assert sum(values.size for _, values in dicke_thermal_mixture(spec).groups) == \
+        math.comb(16, 8)
 
 
 # ---------------------------------------------------------------------------

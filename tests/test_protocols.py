@@ -29,8 +29,6 @@ from ergokit import (
     von_neumann_entropy,
 )
 
-ALPHAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
-
 
 # ---------------------------------------------------------------------------
 # rotation structure
@@ -113,22 +111,6 @@ def test_unreachable_bias_raises():
     spec = SystemSpec.qubits(2, 1.0)
     with pytest.raises(UnreachableBiasError):
         prepare_locally_thermal(spec, 1.0, 0.99)
-
-
-def test_bias_law_on_grid():
-    for n in (2, 3, 4, 5):
-        spec = SystemSpec.qubits(n, 1.0)
-        bias_prime = thermal_params(spec, 1.0).bias
-        start = product_thermal_state(spec, 1.0)
-        for alpha in ALPHAS:
-            state = apply_unitary(start, pair_rotation_unitary(spec, alpha))
-            expected = math.cos(2 * alpha) * bias_prime
-            first = partial_trace_to(state, spec, 1)
-            for k in range(1, n + 1):
-                marginal = partial_trace_to(state, spec, k)
-                bias = float(marginal.diagonal[0] - marginal.diagonal[1])
-                assert abs(bias - expected) <= 1e-12
-                assert float(np.abs(marginal.entries - first.entries).max()) <= 1e-12
 
 
 def test_rotation_preserves_entropy_and_saturates_bound():

@@ -29,7 +29,7 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit.verify import random_density_matrix
-from strategies import BETAS, specs
+from strategies import BETAS, specs, structured_states
 
 
 def random_chains(rng, dim: int) -> DensityMatrix:
@@ -90,16 +90,40 @@ def test_block_spectrum_matches_dense(spec, beta_prime, angle, seed):
 
 @settings(max_examples=40)
 @given(spec=specs(max_dim=64), beta_prime=BETAS, angle=st.floats(0.0, math.pi / 2),
-       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_min_pt_eigenvalue_matches_dense(spec, beta_prime, angle, seed, data):
-    if spec.n < 2:
-        return
-    side = data.draw(st.sets(st.integers(1, spec.n), min_size=1, max_size=spec.n - 1))
-    part = Bipartition(side_a=frozenset(side), n=spec.n)
-    for name, state in family_states(spec, beta_prime, angle, seed).items():
-        dense = float(np.linalg.eigvalsh(partial_transpose(state, spec, part)).min())
-        gap = abs(min_pt_eigenvalue(state, spec, part) - dense)
-        assert gap <= 1e-12, f"{name}, side {sorted(side)}: min PT eigenvalue off by {gap}"
+       seed=st.integers(0, 2 ** 32 - 1), drawn=structured_states(), data=st.data())
+def test_min_pt_eigenvalue_matches_dense(spec, beta_prime, angle, seed, drawn, data):
+    cases = [(drawn[1], {"structured": drawn[0]})]
+    if spec.n >= 2:
+        cases.append((spec, family_states(spec, beta_prime, angle, seed)))
+    for spec, states in cases:
+        if spec.n < 2:
+            continue
+        side = data.draw(st.sets(st.integers(1, spec.n), min_size=1, max_size=spec.n - 1))
+        part = Bipartition(side_a=frozenset(side), n=spec.n)
+        for name, state in states.items():
+            dense = float(np.linalg.eigvalsh(partial_transpose(state, spec, part)).min())
+            gap = abs(min_pt_eigenvalue(state, spec, part) - dense)
+            assert gap <= 1e-12, f"{name}, side {sorted(side)}: min PT eigenvalue off by {gap}"
+
+
+def test_min_pt_eigenvalue_of_a_dense_array_over_several_slabs():
+    # a 256 x 256 block is scattered into its components 128 rows at a time
+    spec = SystemSpec.qubits(8, 1.0)
+    rng = np.random.default_rng(8)
+    for state in (random_chains(rng, spec.dim), random_density_matrix(rng, spec.dim)):
+        for side in ({1}, {2, 3, 7}):
+            part = Bipartition(side_a=frozenset(side), n=spec.n)
+            dense = float(np.linalg.eigvalsh(partial_transpose(state, spec, part)).min())
+            assert abs(min_pt_eigenvalue(state, spec, part) - dense) <= 1e-12
+
+
+def test_min_pt_eigenvalue_is_zero_on_unreached_indices():
+    # the separable state holds d populations; no entry reaches any other index
+    for n in (2, 3, 6):
+        spec = SystemSpec.qubits(n, 1.0)
+        for side in ({1}, set(range(1, n))):
+            part = Bipartition(side_a=frozenset(side), n=n)
+            assert min_pt_eigenvalue(separable_optimal_state(spec), spec, part) == 0.0
 
 
 def spy_eigvalsh(monkeypatch) -> list:
@@ -116,13 +140,20 @@ def spy_eigvalsh(monkeypatch) -> list:
 
 
 def test_one_sided_tiny_entry_links_a_block(monkeypatch):
-    entries = np.diag([0.2, 0.3, 0.5]).astype(complex)
-    entries[0, 2] = 1e-13  # inside the Hermiticity tolerance, so the state is valid
-    rho = DensityMatrix(entries)
+    spec = SystemSpec.qubits(2, 1.0)
+    part = Bipartition(side_a=frozenset({1}), n=2)
     shapes = spy_eigvalsh(monkeypatch)
-    values = state_eigenvalues(rho)
-    assert [shape for shape in shapes if shape[0] > 0] == [(1, 2, 2)]
-    np.testing.assert_allclose(values, dense_spectrum(entries), rtol=0, atol=1e-15)
+    # a 1e-13 entry on one side only (inside the Hermiticity tolerance, so the
+    # state is valid) moves to (2, 1) or (1, 2) and still links 1 and 2
+    for at in ((0, 3), (3, 0)):
+        entries = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
+        entries[at] = 1e-13
+        rho = DensityMatrix(entries)
+        shapes.clear()
+        value = min_pt_eigenvalue(rho, spec, part)
+        assert [shape for shape in shapes if shape[0] > 0] == [(1, 2, 2)], at
+        dense = np.linalg.eigvalsh(partial_transpose(rho, spec, part)).min()
+        assert abs(value - dense) <= 1e-15
 
 
 def test_spectrum_is_solved_once_per_state(monkeypatch):

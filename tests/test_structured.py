@@ -1,5 +1,6 @@
 """States stored as populations plus coherence blocks: agreement with the dense matrix, memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from ergokit import (
     is_passive,
     level_inversion_unitary,
     measure_bias,
+    min_pt_eigenvalue,
     mutual_information_multipartite,
     pair_rotation_unitary,
     partial_trace_to,
@@ -34,44 +36,8 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
-from ergokit import cli, core
-from ergokit.core import _Parts
-from strategies import specs
-
-# (n, d) with d**n <= 64
-SHAPES = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
-          (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (3, 4)]
-
-
-@st.composite
-def structured_states(draw):
-    """A random state of free populations and disjoint blocks of sizes 1-4, with its spec.
-
-    Blocks are random positive matrices, real or complex, on shuffled
-    indices; the indices left over carry random populations.
-    """
-    n, d = draw(st.sampled_from(SHAPES))
-    dim = d ** n
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    order = rng.permutation(dim)
-    blocks, used = [], 0
-    for k in draw(st.lists(st.integers(1, 4), max_size=dim)):
-        if used + k > dim:
-            break
-        blocks.append(np.sort(order[used:used + k]))
-        used += k
-    pops = np.zeros(dim)
-    pops[order[used:]] = rng.uniform(0.0, 1.0, dim - used)
-    groups = []
-    for k in sorted({block.size for block in blocks}):
-        index = np.array([block for block in blocks if block.size == k])
-        g = rng.standard_normal((len(index), k, k)) + 1j * draw(st.sampled_from([0.0, 1.0])) \
-            * rng.standard_normal((len(index), k, k))
-        groups.append((index, g @ g.conj().transpose(0, 2, 1)))
-    total = pops.sum() + sum(v.trace(axis1=1, axis2=2).real.sum() for _, v in groups)
-    state = DensityMatrix(_Parts(pops / total, [(i, v / total) for i, v in groups]))
-    spec = SystemSpec(n=n, d=d, local_energies=tuple(range(d)), beta=1.0)
-    return state, spec
+from ergokit import analysis, cli, core
+from strategies import specs, structured_states
 
 
 def dense_partial_trace(arr: np.ndarray, spec: SystemSpec, keep: int) -> np.ndarray:
@@ -79,6 +45,21 @@ def dense_partial_trace(arr: np.ndarray, spec: SystemSpec, keep: int) -> np.ndar
     tensor = arr.reshape(d ** (keep - 1), d, d ** (spec.n - keep),
                          d ** (keep - 1), d, d ** (spec.n - keep))
     return np.trace(np.trace(tensor, axis1=0, axis2=3), axis1=1, axis2=3)
+
+
+def dense_rotation(arr: np.ndarray, unitary: StructuredUnitary) -> np.ndarray:
+    """U arr U^dagger one rotation at a time: every row pair, then every column pair."""
+    out = np.array(arr)
+    trig = [(a, b, math.cos(t), math.sin(t)) for a, b, t in unitary.rotations]
+    for a, b, c, s in trig:
+        row_a, row_b = out[a].copy(), out[b].copy()
+        out[a] = c * row_a + s * row_b
+        out[b] = -s * row_a + c * row_b
+    for a, b, c, s in trig:
+        col_a, col_b = out[:, a].copy(), out[:, b].copy()
+        out[:, a] = c * col_a + s * col_b
+        out[:, b] = -s * col_a + c * col_b
+    return out
 
 
 def dense_is_passive(arr: np.ndarray, energies: np.ndarray) -> bool:
@@ -102,7 +83,7 @@ def test_parts_agree_with_the_dense_matrix(drawn):
     spectrum = np.sort(np.linalg.eigvalsh(dense))[::-1]
     assert not rho.populations.flags.writeable
     assert not any(a.flags.writeable for group in rho.groups for a in group)
-    # the same state held as one dense block takes the dense paths
+    # the same state held as one dense block, as a caller would give it
     for state in (rho, DensityMatrix(dense)):
         assert float(np.abs(state_eigenvalues(state) - spectrum).max()) <= 1e-12
         np.testing.assert_array_equal(state.diagonal, dense.diagonal().real)
@@ -162,9 +143,12 @@ def test_pair_rotations_agree_with_dense_conjugation(drawn, data):
     out = apply_unitary(rho, unitary)
     mat = unitary.materialize()
     assert float(np.abs(out.entries - mat @ rho.entries @ mat.conj().T).max()) <= 1e-12
-    # the block update repeats the dense update's arithmetic
-    np.testing.assert_array_equal(out.entries,
-                                  apply_unitary(DensityMatrix(rho.entries), unitary).entries)
+    # the block update repeats a dense per-rotation update's arithmetic, for the
+    # state's own blocks and for the same state given as one dense block
+    expected = dense_rotation(rho.entries, unitary)
+    np.testing.assert_array_equal(out.entries, expected)
+    np.testing.assert_array_equal(apply_unitary(DensityMatrix(rho.entries), unitary).entries,
+                                  expected)
 
 
 @settings(max_examples=60)
@@ -204,17 +188,18 @@ def package_states(spec: SystemSpec) -> dict:
 
 
 def test_package_states_never_build_a_dense_matrix(monkeypatch):
-    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
     spec = SystemSpec.qubits(6, 1.0)
+    # one byte short of a dense matrix: every array the package sizes must be smaller
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2 - 1)
     ham = build_hamiltonian(spec)
     for name, state in package_states(spec).items():
-        assert state._dense_block() is None, name
         von_neumann_entropy(state)
         ergotropy(state, ham, spec)
         is_passive(state, ham)
         is_passive(passive_state(state, ham), ham)
         mutual_information_multipartite(state, spec)
         measure_bias(state, spec)
+        min_pt_eigenvalue(state, spec, Bipartition.half_split(spec.n))
         with pytest.raises(CapacityError):
             state.entries
 
@@ -240,21 +225,45 @@ def test_dense_arrays_are_sized_before_they_are_built(monkeypatch):
     state = entangled_pure_state(spec)
     dense = DensityMatrix(state.entries)
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2 - 1)
-    with pytest.raises(CapacityError):
-        state.entries
     for rho in (state, dense):
+        with pytest.raises(CapacityError):
+            rho.entries
         with pytest.raises(CapacityError):
             partial_transpose(rho, spec, Bipartition.half_split(spec.n))
     with pytest.raises(CapacityError):
         apply_unitary(state, np.eye(spec.dim))
     with pytest.raises(CapacityError):
         pair_rotation_unitary(spec, 0.3).materialize()
-    # a sweep cell that needs a dense partial transpose becomes an infeasible row
-    row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True,
-                                          dim_cap=spec.dim))
-    assert row["status"] == "ok"
+    # the partial transpose sizes its moved entries (4 of them here, as one
+    # 2 x 2 block) before it builds them, and its component blocks after
+    half = Bipartition.half_split(spec.n)
+    for limit, what in ((0, "moved entries"), (4 * analysis._PT_ENTRY_BYTES, "components")):
+        monkeypatch.setattr(core, "DENSE_BYTES_MAX", limit)
+        with pytest.raises(CapacityError, match=what):
+            min_pt_eigenvalue(state, spec, half)
+    # that of a diagonal state sizes no array; a sweep cell over the limit
+    # becomes an infeasible row
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
     row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True))
+    assert row["status"] == "ok"
+    row, = cli.sweep_rows(cli.SweepConfig(family="entangled", n_values=(8,), include_ppt=True))
     assert row["status"] == "infeasible" and "bytes" in row["note"]
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2)
     assert state.entries.shape == (spec.dim, spec.dim)
+
+
+def test_pair_rotation_of_a_dense_state_at_n11_stays_within_128_mb():
+    spec = SystemSpec.qubits(11, 1.0)
+    rotation = pair_rotation_unitary(spec, 0.4)
+    rho = DensityMatrix(apply_unitary(product_thermal_state(spec, 1.5), rotation).entries)
+    tracemalloc.start()
+    try:
+        out = apply_unitary(rho, rotation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense block itself is 64 MB
+    assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    # two rotations by 0.4 are one by 0.8: the bias law z = cos(1.6) z'
+    bias_prime = measure_bias(product_thermal_state(spec, 1.5), spec)
+    assert abs(measure_bias(out, spec) - math.cos(1.6) * bias_prime) <= 1e-12
