@@ -40,7 +40,7 @@ from .figures import Figure1Row, figure1_rows
 from .passivity import ergotropy
 from .protocols import inversion_sequence_to_bias, prepare_locally_thermal
 from .reporting import emit_csv, svg_line_chart
-from .verify import DEFAULT_SEED, format_report, run_suite
+from .verify import DEFAULT_SEED, format_json, format_report, run_suite
 
 STATE_FAMILIES = ("entangled", "separable", "dicke", "fixed-entropy")
 SWEEP_FAMILIES = STATE_FAMILIES + ("protocol",)
@@ -141,8 +141,12 @@ def _family_values(spec: SystemSpec, family: str, total_entropy=None,
         "bound_entropy": report.bound_entropy,
         "ratio_to_bound": report.ratio_to_bound,
     }
-    if include_ppt and 2 <= spec.n <= 8:
-        values["ppt_min_eig"] = min_pt_eigenvalue(state, spec, Bipartition.half_split(spec.n))
+    if include_ppt and spec.n >= 2:
+        # a state too large to transpose keeps its row, with the reason
+        try:
+            values["ppt_min_eig"] = min_pt_eigenvalue(state, spec, Bipartition.half_split(spec.n))
+        except CapacityError as exc:
+            values["note"] = _note(exc)
     return values
 
 
@@ -255,6 +259,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common], help="run invariant suites")
     ver.add_argument("--suite", choices=("all", "passivity", "protocols",
                                          "entanglement", "bounds"), default="all")
+    ver.add_argument("--json", action="store_true",
+                     help="print the report as one JSON object")
     ver.set_defaults(handler=_cmd_verify)
 
     swp = sub.add_parser("sweep", parents=[common], help="scan a family over n, emit CSV")
@@ -264,7 +270,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     swp.add_argument("--beta-prime", dest="beta_prime", type=float)
     swp.add_argument("--target-bias", dest="target_bias", type=float, action="append")
     swp.add_argument("--ppt", action="store_true",
-                     help="add the half-split partial-transpose minimum (n <= 8)")
+                     help="add the half-split partial-transpose minimum (n >= 2)")
     swp.set_defaults(handler=_cmd_sweep)
 
     pro = sub.add_parser("protocol", parents=[common], help="bias-steering demos")
@@ -337,7 +343,8 @@ def _cmd_ergotropy(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_suite(args.suite, seed=args.seed)
-    print(format_report(results, seed=args.seed))
+    report = format_json if args.json else format_report
+    print(report(results, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -6,8 +6,9 @@ the total initial energy n E_beta for
 * the optimal separable (diagonal) state, and
 * the entropy-constrained bound at the separable state's entropy.
 
-Each column is a closed form or a scalar bisection; no state is built, so
-n far beyond the dense-matrix cap is fine.
+Each column is a closed form or a scalar root solve (the bracketed Newton
+iteration of `beta_for_entropy`); no state is built, so n far beyond the
+dense-matrix cap is fine.
 """
 
 from __future__ import annotations

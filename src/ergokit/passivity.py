@@ -6,7 +6,7 @@ obtained by placing the eigenvalues of rho, sorted descending, onto the
 energy levels sorted ascending; the spectrum comes from `state_eigenvalues`,
 solved once per state.  Thermal (Gibbs) states are the completely passive
 reference; the entropy-constrained bound is evaluated by inverting
-the thermal-entropy map with a bisection.
+the thermal-entropy map with a bracketed Newton iteration.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import DomainError, NumericalError, UnsupportedError
 # local gap); the thermal entropy there must underflow below 1e-12.
 BETA_MAX_SCALE = 1e6
 
-ENTROPY_BISECTION_TOL = 1e-12
-ENTROPY_BISECTION_MAX_ITER = 200
-BETA_BISECTION_RTOL = 1e-10
+ENTROPY_SOLVE_TOL = 1e-12
+ENTROPY_SOLVE_MAX_ITER = 200
+BETA_SOLVE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -214,9 +214,14 @@ def _shell_eigenvalues(rho: DensityMatrix, shell: np.ndarray):
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:
     """Invert the thermal-entropy map: find beta' with S(tau_beta') = s.
 
-    Bisection on the monotone map beta' -> S(tau_beta').  Since
-    dS/dbeta' = -beta' Var(E), an entropy residual r moves beta' by about
-    r / (beta'^2 Var(E)) relative; the bisection stops once r is at most
+    A bracketed Newton iteration on beta', starting at 1/gap, with the
+    slope dS/dbeta' = -beta' Var(E).  The Newton step is taken on ln S,
+    because S falls like beta' E e^(-beta' E) at large beta', where a
+    step on S itself moves beta' by only about 1/E; a step that does not
+    land strictly inside the bracket is replaced by a bisection, geometric
+    while the bracket spans more than a factor of 4 above a positive
+    lower end.  An entropy residual r moves beta' by about
+    r / (beta'^2 Var(E)) relative; the iteration stops once r is at most
     1e-12 and at most 1e-10 beta'^2 Var(E), or when the bracket can no
     longer be split.  The relative bound is what holds at large beta',
     where s itself is near 1e-12, and near beta' = 0, where S is flat.
@@ -225,12 +230,12 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     """
     s = float(entropy_per_subsystem)
     s_max = math.log(spec.d)
-    if not -ENTROPY_BISECTION_TOL <= s <= s_max + ENTROPY_BISECTION_TOL:
+    if not -ENTROPY_SOLVE_TOL <= s <= s_max + ENTROPY_SOLVE_TOL:
         raise DomainError(
             f"entropy per subsystem {s} outside [0, ln d = {s_max!r}]"
         )
     s = min(max(s, 0.0), s_max)
-    if s_max - s <= ENTROPY_BISECTION_TOL:
+    if s_max - s <= ENTROPY_SOLVE_TOL:
         return thermal_params(spec, 0.0)
     gap = spec.energy_gap if spec.energy_gap > 0.0 else 1.0
     beta_max = BETA_MAX_SCALE / gap
@@ -239,24 +244,32 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
         return floor_params
     squares = np.square(spec.local_energies)
     lo, hi = 0.0, beta_max
-    params = floor_params
-    for _ in range(ENTROPY_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        params = thermal_params(spec, mid)
+    beta = 1.0 / gap
+    for _ in range(ENTROPY_SOLVE_MAX_ITER):
+        params = thermal_params(spec, beta)
         entropy = params.entropy
         resid = abs(entropy - s)
-        if resid <= ENTROPY_BISECTION_TOL and resid <= BETA_BISECTION_RTOL * mid * mid * (
-                float(squares @ params.populations) - params.mean_energy ** 2):
-            return params
-        if not lo < mid < hi:
+        variance = float(squares @ params.populations) - params.mean_energy ** 2
+        if resid <= ENTROPY_SOLVE_TOL and resid <= BETA_SOLVE_RTOL * beta * beta * variance:
             return params
         if entropy > s:
-            lo = mid  # entropy decreases with beta
+            lo = beta  # entropy decreases with beta
         else:
-            hi = mid
+            hi = beta
+        step = math.nan
+        if entropy > 0.0 and variance > 0.0:
+            step = beta + (math.log(entropy) - math.log(s)) * entropy / (beta * variance)
+        if lo < step < hi:
+            beta = step
+        elif lo > 0.0 and hi > 4.0 * lo:
+            beta = math.sqrt(lo * hi)
+        else:
+            beta = 0.5 * (lo + hi)
+        if not lo < beta < hi:
+            return params
     if abs(params.entropy - s) > 1e-9:
         raise NumericalError(
-            f"entropy bisection stalled at residual {params.entropy - s:.3e}"
+            f"entropy solve stalled at residual {params.entropy - s:.3e}"
         )
     return params
 

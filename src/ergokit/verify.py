@@ -8,10 +8,12 @@ seed can be varied from the command line.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -423,6 +425,25 @@ def check_separable_mixtures_ppt(rng):
                 assert smallest >= -1e-10, (
                     f"separable mixture NPT at n={n}, t={t}: {smallest}"
                 )
+        # the diagonal states above have no coherence for the partial
+        # transpose to move; products of rotated qubits do
+        local = np.diag(thermal_params(spec).populations)
+        t = float(rng.uniform())
+        state = DensityMatrix(t * _rotated_product(rng, n, local)
+                              + (1 - t) * _rotated_product(rng, n, local))
+        for split in {Bipartition.half_split(n), Bipartition(side_a=frozenset({1}), n=n)}:
+            smallest = min_pt_eigenvalue(state, spec, split)
+            assert smallest >= -1e-10, (
+                f"rotated separable mixture NPT at n={n}, split {sorted(split.side_a)}: {smallest}"
+            )
+
+
+def _rotated_product(rng, n: int, local: np.ndarray) -> np.ndarray:
+    """Dense product of n copies of the qubit state local, each rotated by a drawn angle."""
+    angles = rng.uniform(0.0, math.pi, n)
+    c, s = np.cos(angles), np.sin(angles)
+    rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+    return functools.reduce(np.kron, rotations @ local @ rotations.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -582,3 +603,14 @@ def format_report(results: list[CheckResult], seed: int) -> str:
     failed = sum(not r.passed for r in results)
     lines.append(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed")
     return "\n".join(lines)
+
+
+def format_json(results: list[CheckResult], seed: int) -> str:
+    """The report as one JSON object, with the NumPy and BLAS builds that ran it."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return json.dumps({
+        "seed": seed,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "checks": [asdict(res) for res in results],
+    })

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, config file, CSV output."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from ergokit import DomainError, cli
@@ -134,6 +136,16 @@ def test_sweep_rows_contract():
         assert row["ergotropy"] <= row["bound_total_energy"] + 1e-9
 
 
+def test_sweep_ppt_column_is_filled_beyond_n8(tmp_path, capsys):
+    out = tmp_path / "ppt.csv"
+    assert main(["sweep", "--family", "entangled", "--ppt", "--n", "9:12",
+                 "--out", str(out)]) == 0
+    _, rows = parse_csv(out)
+    assert [r["n"] for r in rows] == [9, 10, 11, 12]
+    for row in rows:
+        assert row["status"] == "ok" and row["ppt_min_eig"] < 0.0
+
+
 def test_sweep_infeasible_cells_are_recorded():
     config = SweepConfig(family="fixed-entropy", n_values=(2, 3, 8), total_entropy=2.0)
     rows = sweep_rows(config)
@@ -242,6 +254,29 @@ def test_verify_subcommand(monkeypatch, capsys, verify_all):
         CheckResult(name="bounds/broken", passed=False, detail="boom", seconds=0.0)])
     assert main(["verify", "--suite", "bounds"]) == 1
     assert "[FAIL] bounds/broken (0.00 s)  boom" in capsys.readouterr().out
+
+
+def test_verify_json_report(monkeypatch, capsys, verify_all):
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
+        r for r in verify_all.results if r.name.startswith(f"{suite}/")])
+    assert main(["verify", "--suite", "entanglement", "--seed", "7", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 7
+    assert report["numpy"] == np.__version__
+    assert set(report["blas"]) == {"name", "version"}
+    assert [c["name"] for c in report["checks"]] == [
+        "entanglement/witness-point-value", "entanglement/witness-sign-agreement",
+        "entanglement/separable-mixtures-ppt"]
+    for check in report["checks"]:
+        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert check["passed"] is True and check["seconds"] >= 0.0
+
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
+        CheckResult(name="bounds/broken", passed=False, detail="boom", seconds=0.0)])
+    assert main(["verify", "--suite", "bounds", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [
+        {"name": "bounds/broken", "passed": False, "detail": "boom", "seconds": 0.0}]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ergokit import (
     DensityMatrix,
@@ -25,7 +26,9 @@ from ergokit import (
     thermal_params,
     thermal_state,
 )
+from ergokit import passivity
 from ergokit.figures import figure1_rows
+from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.verify import random_density_matrix
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -278,6 +281,114 @@ def test_beta_for_entropy_recovers_beta(beta_e):
         beta = beta_e / spec.energy_gap
         found = beta_for_entropy(spec, thermal_entropy(spec, beta)).beta_prime
         assert abs(found - beta) <= 1e-9 * beta
+
+
+def meets_stopping_rule(spec, params, s) -> bool:
+    """beta_for_entropy's residual rule: at most 1e-12, and at most 1e-10 beta'^2 Var(E)."""
+    resid = abs(params.entropy - s)
+    variance = float(np.square(spec.local_energies) @ params.populations) - params.mean_energy ** 2
+    return resid <= 1e-12 and resid <= 1e-10 * params.beta_prime ** 2 * variance
+
+
+def reference_bisection(spec, s):
+    """The solver's former loop: bisection on [0, 10^6 / gap] with the same stopping rule."""
+    if math.log(spec.d) - s <= 1e-12:
+        return passivity.thermal_params(spec, 0.0)
+    gap = spec.energy_gap if spec.energy_gap > 0.0 else 1.0
+    lo, hi = 0.0, BETA_MAX_SCALE / gap
+    params = passivity.thermal_params(spec, hi)
+    if s <= params.entropy:
+        return params
+    while True:
+        mid = 0.5 * (lo + hi)
+        params = passivity.thermal_params(spec, mid)
+        if meets_stopping_rule(spec, params, s) or not lo < mid < hi:
+            return params
+        if params.entropy > s:
+            lo = mid
+        else:
+            hi = mid
+
+
+def ladder_with_gaps(gaps) -> SystemSpec:
+    ladder = (0.0,) + tuple(itertools.accumulate(gaps))
+    return SystemSpec(n=1, d=len(ladder), local_energies=ladder, beta=1.0)
+
+
+LADDERS = st.integers(2, 6).flatmap(
+    lambda d: st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 3.0),
+                       min_size=d - 1, max_size=d - 1)).map(ladder_with_gaps)
+
+
+@settings(max_examples=150)
+@given(spec=LADDERS, beta_e=st.sampled_from([0.0, 60.0]) | st.floats(0.0, 60.0),
+       fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), by_beta=st.booleans())
+@example(spec=ladder_with_gaps((1.0, 0.0)), beta_e=3.0, fraction=0.0, by_beta=True)
+@example(spec=ladder_with_gaps((1.0, 0.0)), beta_e=0.0, fraction=0.4, by_beta=False)
+def test_beta_for_entropy_meets_its_stopping_rule_and_agrees_with_bisection(
+        spec, beta_e, fraction, by_beta):
+    gap = spec.energy_gap if spec.energy_gap > 0.0 else 1.0
+    s_max = math.log(spec.d)
+    s = thermal_entropy(spec, beta_e / gap) if by_beta else fraction * s_max
+    params = beta_for_entropy(spec, s)
+    assert params == thermal_params(spec, params.beta_prime)
+    beta = params.beta_prime
+    if s_max - s <= 1e-12:
+        assert beta == 0.0
+    elif beta == BETA_MAX_SCALE / gap:
+        assert s <= params.entropy  # the sentinel: s is at or below its entropy
+    elif not meets_stopping_rule(spec, params, s):
+        # the bracket can no longer be split: the float next to beta' on the
+        # far side of the root has the entropy on the other side of s
+        side = math.inf if params.entropy > s else 0.0
+        neighbour = thermal_entropy(spec, math.nextafter(beta, side))
+        assert (params.entropy > s) != (neighbour > s)
+    reference = reference_bisection(spec, s).beta_prime
+    # where S is flat, the entropy's own rounding (a few 1e-16) leaves beta'
+    # undetermined by about 1e-15 / (beta' Var(E))
+    variance = float(np.square(spec.local_energies) @ params.populations) - params.mean_energy ** 2
+    slack = 2e-15 / (beta * variance) if beta * variance > 0.0 else math.inf
+    assert abs(beta - reference) <= 1e-9 * reference + slack
+
+
+@pytest.mark.parametrize("gaps", [(1.0,), (2.0,), (1.0, 0.0), (1.0, 1.0), (0.3, 0.7, 0.0),
+                                  (1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 0.0, 0.0, 1.0)])
+def test_beta_for_entropy_edge_cases(gaps):
+    spec = ladder_with_gaps(gaps)
+    gap = spec.energy_gap
+    assert beta_for_entropy(spec, math.log(spec.d)).beta_prime == 0.0
+    assert beta_for_entropy(spec, 0.0).beta_prime == BETA_MAX_SCALE / gap
+    for bad in (math.nan, -0.01, math.log(spec.d) + 0.01, math.inf):
+        with pytest.raises(DomainError):
+            beta_for_entropy(spec, bad)
+
+
+def test_beta_for_entropy_needs_few_gibbs_evaluations(monkeypatch):
+    calls = []
+    uncounted = passivity.thermal_params
+
+    def counted(spec, beta=None):
+        calls.append(beta)
+        return uncounted(spec, beta)
+
+    monkeypatch.setattr(passivity, "thermal_params", counted)
+    new, old = [], []
+    for gaps in [(1.0,), (2.0,), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5), (0.3, 0.7, 0.0),
+                 (1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 4.0, 1.0)]:
+        spec = ladder_with_gaps(gaps)
+        targets = [uncounted(spec, beta_e / spec.energy_gap).entropy
+                   for beta_e in (0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10, 20, 30, 40, 50, 60)]
+        targets += [f * math.log(spec.d) for f in (0.001, 0.1, 0.5, 0.9, 0.999)]
+        for s in targets:
+            del calls[:]
+            beta_for_entropy(spec, s)
+            new.append(len(calls))
+            del calls[:]
+            reference_bisection(spec, s)
+            old.append(len(calls))
+    assert np.median(new) <= 8, np.median(new)
+    worse = [(n, o) for n, o in zip(new, old) if n > o]
+    assert not worse, worse
 
 
 def closed_form_qubit_entropy(x: float) -> float:

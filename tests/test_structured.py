@@ -242,12 +242,14 @@ def test_dense_arrays_are_sized_before_they_are_built(monkeypatch):
         with pytest.raises(CapacityError, match=what):
             min_pt_eigenvalue(state, spec, half)
     # that of a diagonal state sizes no array; a sweep cell over the limit
-    # becomes an infeasible row
+    # keeps its row, with the partial-transpose column blank and the reason
+    # in the note
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
     row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True))
     assert row["status"] == "ok"
     row, = cli.sweep_rows(cli.SweepConfig(family="entangled", n_values=(8,), include_ppt=True))
-    assert row["status"] == "infeasible" and "bytes" in row["note"]
+    assert row["status"] == "ok" and "ppt_min_eig" not in row and "bytes" in row["note"]
+    assert row["ergotropy"] > 0.0
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2)
     assert state.entries.shape == (spec.dim, spec.dim)
 
