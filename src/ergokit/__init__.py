@@ -20,7 +20,6 @@ from .analysis import (
     partial_transpose,
 )
 from .core import (
-    DEFAULT_DIM_CAP,
     DensityMatrix,
     StructuredUnitary,
     SystemSpec,

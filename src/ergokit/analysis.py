@@ -165,7 +165,7 @@ def npt_witness_half_split(spec: SystemSpec, beta_prime: float, angle: float) ->
 
 def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
     """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
     energy = float(rho.diagonal @ _checked_hamiltonian(rho, hamiltonian))
     return energy - von_neumann_entropy(rho) / beta

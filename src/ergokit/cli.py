@@ -15,12 +15,7 @@ from functools import partial
 from pathlib import Path
 
 from .analysis import Bipartition, min_pt_eigenvalue
-from .core import (
-    DEFAULT_DIM_CAP,
-    SystemSpec,
-    build_hamiltonian,
-    von_neumann_entropy,
-)
+from .core import SystemSpec, build_hamiltonian, von_neumann_entropy
 from .errors import (
     CapacityError,
     DomainError,
@@ -67,7 +62,6 @@ class SweepConfig:
     beta_prime: float | None = None
     target_biases: tuple[float, ...] = field(default_factory=tuple)
     include_ppt: bool = False
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.family not in SWEEP_FAMILIES:
@@ -76,9 +70,9 @@ class SweepConfig:
             raise DomainError("sweep needs at least one ensemble size")
 
 
-def _spec(n: int, d: int, beta: float, ladder, dim_cap: int) -> SystemSpec:
+def _spec(n: int, d: int, beta: float, ladder) -> SystemSpec:
     energies = tuple(float(x) for x in ladder) if ladder else tuple(float(a) for a in range(d))
-    return SystemSpec(n=n, d=d, local_energies=energies, beta=beta, dim_cap=dim_cap)
+    return SystemSpec(n=n, d=d, local_energies=energies, beta=beta)
 
 
 def build_family_state(spec: SystemSpec, family: str, total_entropy=None):
@@ -118,7 +112,7 @@ def _sweep_cell(config: SweepConfig, n: int, values, **fixed) -> dict:
     """One sweep row; the errors of an infeasible cell become its note."""
     row = {"family": config.family, "n": n, "beta": config.beta, "status": "ok", **fixed}
     try:
-        spec = _spec(n, config.d, config.beta, config.local_energies, config.dim_cap)
+        spec = _spec(n, config.d, config.beta, config.local_energies)
         row.update(values(spec))
     except (DomainError, UnsupportedError, CapacityError, InfeasibilityError) as exc:
         row["status"] = "infeasible"
@@ -195,7 +189,7 @@ def _parse_n_range(text: str) -> tuple[int, ...]:
 _CONFIG_COERCE = {
     "beta": float, "beta_prime": float, "total_entropy": float,
     "target_bias": lambda v: [float(x) for x in str(v).split()],
-    "n": str, "n_max": int, "d": int, "seed": int, "dim_cap": int,
+    "n": str, "n_max": int, "d": int, "seed": int,
     "energy_ladder": str, "out": str, "format": str, "family": str,
     "suite": str, "kind": str, "ppt": lambda v: str(v).lower() in ("1", "true", "yes"),
 }
@@ -238,7 +232,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--out", help="output file path")
     common.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
-    common.add_argument("--dim-cap", dest="dim_cap", type=int, default=DEFAULT_DIM_CAP)
 
     parser = argparse.ArgumentParser(prog="ergokit",
                                      description="work extraction from correlated locally thermal states")
@@ -327,7 +320,7 @@ def _print_values(values: dict):
 
 def _cmd_ergotropy(args) -> int:
     n = int(args.n)
-    spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder), args.dim_cap)
+    spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder))
     values = {
         "family": args.family,
         "n": n,
@@ -359,7 +352,6 @@ def _cmd_sweep(args) -> int:
         beta_prime=args.beta_prime,
         target_biases=tuple(args.target_bias or ()),
         include_ppt=args.ppt,
-        dim_cap=args.dim_cap,
     )
     rows = sweep_rows(config)
     ns = [r["n"] for r in rows]
@@ -370,7 +362,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_protocol(args) -> int:
     n = int(args.n)
-    spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder), args.dim_cap)
+    spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder))
     _print_values({
         "kind": args.kind,
         "n": n,

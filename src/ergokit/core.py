@@ -39,9 +39,9 @@ from .errors import (
     ValidityError,
 )
 
-DEFAULT_DIM_CAP = 16384
-# largest dense complex dim x dim array built on demand (entries, partial
-# transpose, dense unitaries): 1 GiB, which admits dim 8192
+# largest array built on demand, 1 GiB: a dense complex dim x dim matrix
+# (entries, partial transpose, dense unitaries) up to dim 8192, and the
+# state-sized vectors of one operation, at 64 bytes an index, up to dim 2^24
 DENSE_BYTES_MAX = 1 << 30
 
 HERMITICITY_TOL = 1e-12
@@ -67,14 +67,14 @@ class SystemSpec:
 
     local_energies is the common single-subsystem ladder (ground energy
     zero, non-decreasing); beta is the reference inverse temperature in
-    units of 1/energy.
+    units of 1/energy.  Arrays over the dim basis states are sized
+    against DENSE_BYTES_MAX where they are built, not here.
     """
 
     n: int
     d: int
     local_energies: tuple[float, ...]
     beta: float
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.n < 1:
@@ -91,12 +91,11 @@ class SystemSpec:
             raise DomainError(f"ground energy must be zero, got {energies[0]}")
         if not all(a <= b < math.inf for a, b in zip(energies, energies[1:])):
             raise DomainError(f"local energies must be finite and non-decreasing: {energies}")
+        top = self.n * energies[-1]
+        if not top * top < math.inf:
+            raise DomainError(f"energy scale n * E_max = {top!r} overflows when squared")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise DomainError(f"inverse temperature must be finite and >= 0, got {self.beta}")
-        if self.d ** self.n > self.dim_cap:
-            raise CapacityError(
-                f"global dimension {self.d}**{self.n} exceeds cap {self.dim_cap}"
-            )
 
     @property
     def dim(self) -> int:
@@ -108,16 +107,15 @@ class SystemSpec:
         return self.local_energies[1]
 
     @classmethod
-    def qubits(cls, n: int, beta: float, energy: float = 1.0,
-               dim_cap: int = DEFAULT_DIM_CAP) -> "SystemSpec":
+    def qubits(cls, n: int, beta: float, energy: float = 1.0) -> "SystemSpec":
         """Spec for n two-level subsystems with ladder (0, energy)."""
-        return cls(n=n, d=2, local_energies=(0.0, float(energy)), beta=beta,
-                   dim_cap=dim_cap)
+        return cls(n=n, d=2, local_energies=(0.0, float(energy)), beta=beta)
 
 
 @lru_cache(maxsize=None)
 def hamming_weights(n: int) -> np.ndarray:
     """Hamming weight of every linear index of an n-qubit register."""
+    _check_vector_size(2 ** n)
     w = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         w = np.concatenate([w, w + 1])
@@ -140,6 +138,11 @@ def _check_dense_size(dim: int):
     _check_bytes(16 * dim * dim, f"a dense {dim} x {dim} matrix")
 
 
+def _check_vector_size(dim: int):
+    """Raise CapacityError before state-sized vectors, 64 bytes an index, over DENSE_BYTES_MAX."""
+    _check_bytes(64 * dim, f"a state of dimension {dim}")
+
+
 def _hermiticity_defect(arr: np.ndarray) -> float:
     """Largest |arr[..., i, j] - conj(arr[..., j, i])| of a matrix or a stack of them.
 
@@ -155,22 +158,6 @@ def _hermiticity_defect(arr: np.ndarray) -> float:
                 lower = arr[..., col:col + tile, lo:lo + tile]
                 worst = np.maximum(worst, np.abs(upper - lower.conj().swapaxes(-1, -2)).max())
     return float(worst)
-
-
-def _coherence_max(rho: "DensityMatrix", labels: np.ndarray, slab: int = 1024) -> float:
-    """Largest |rho[i, j]| with labels[i] != labels[j], read from the blocks.
-
-    Each group is read a slab of block rows at a time, so a single dense
-    block never needs a dim x dim mask.
-    """
-    worst = 0.0
-    for index, values in rho.groups:
-        lab = labels[index]
-        for lo in range(0, index.shape[1], slab):
-            part = np.abs(values[:, lo:lo + slab])
-            part[lab[:, lo:lo + slab, None] == lab[:, None, :]] = 0.0
-            worst = max(worst, float(part.max()))
-    return worst
 
 
 class _Parts:
@@ -253,9 +240,6 @@ class DensityMatrix:
         for index, values in self.groups:
             diag[index] = values.diagonal(axis1=1, axis2=2).real
         return diag
-
-    def off_diagonal_max(self) -> float:
-        return _coherence_max(self, np.arange(self.dim))
 
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
@@ -353,6 +337,7 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     Entry at a linear index equals the sum of the local energies selected
     by its digits.
     """
+    _check_vector_size(spec.dim)
     diag = np.zeros(1)
     ladder = np.asarray(spec.local_energies)
     for _ in range(spec.n):

@@ -6,7 +6,7 @@ class ErgokitError(Exception):
 
 
 class CapacityError(ErgokitError):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
+    """An array the operation would build exceeds core.DENSE_BYTES_MAX bytes."""
 
 
 class ShapeError(ErgokitError):

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, SystemSpec, _Parts, _check_bytes, hamming_weights
+from .core import (
+    DensityMatrix, SystemSpec, _Parts, _check_bytes, _check_vector_size, hamming_weights,
+)
 from .errors import DomainError, InfeasibilityError, UnsupportedError
 from .passivity import thermal_entropy, thermal_params
 
@@ -53,6 +55,7 @@ def dicke_index_set(n: int, k: int) -> np.ndarray:
 def gibbs_weighted_superposition(spec: SystemSpec) -> np.ndarray:
     """Amplitude vector with weight e^(-beta E_a / 2)/sqrt(Z) on each |a...a>."""
     params = thermal_params(spec)
+    _check_vector_size(spec.dim)
     amp = np.zeros(spec.dim, dtype=complex)
     rep = (spec.dim - 1) // (spec.d - 1)  # linear index of |a...a> is a * rep
     for a, pop in enumerate(params.populations):
@@ -80,6 +83,7 @@ def separable_optimal_state(spec: SystemSpec) -> DensityMatrix:
     if spec.n < 2:
         raise DomainError("the correlated mixture requires n >= 2")
     params = thermal_params(spec)
+    _check_vector_size(spec.dim)
     diag = np.zeros(spec.dim)
     rep = (spec.dim - 1) // (spec.d - 1)
     for a, pop in enumerate(params.populations):
@@ -90,6 +94,7 @@ def separable_optimal_state(spec: SystemSpec) -> DensityMatrix:
 def product_thermal_diagonal(spec: SystemSpec, beta_prime: float | None = None) -> np.ndarray:
     """Populations of tau_beta'^(x n) in basis order, as a vector."""
     pops = np.asarray(thermal_params(spec, beta_prime).populations)
+    _check_vector_size(spec.dim)
     diag = np.ones(1)
     for _ in range(spec.n):
         diag = np.multiply.outer(diag, pops).ravel()
@@ -171,6 +176,7 @@ def diagonal_state_at_entropy(
     """
     if spec.d != 2:
         raise UnsupportedError("the diagonal family is implemented for qubits only")
+    _check_vector_size(spec.dim)
     s = float(total_entropy)
     n = spec.n
     p = thermal_params(spec).populations[1]

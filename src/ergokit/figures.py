@@ -8,14 +8,14 @@ the total initial energy n E_beta for
 
 Each column is a closed form or a scalar root solve (the bracketed Newton
 iteration of `beta_for_entropy`); no state is built, so n far beyond the
-dense-matrix cap is fine.
+byte limit on state-sized arrays is fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_DIM_CAP, SystemSpec
+from .core import SystemSpec
 from .errors import DomainError
 from .passivity import (
     entropy_constrained_bound,
@@ -39,8 +39,7 @@ def figure1_rows(beta_e: float = 1.0, n_max: int = 20) -> list[Figure1Row]:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
-        spec = SystemSpec.qubits(n, beta=beta_e,
-                                 dim_cap=max(DEFAULT_DIM_CAP, 2 ** n))
+        spec = SystemSpec.qubits(n, beta=beta_e)
         bound = n * thermal_params(spec).mean_energy
         if bound == 0.0:
             raise DomainError(

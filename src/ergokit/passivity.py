@@ -21,8 +21,6 @@ from .core import (
     DensityMatrix,
     ShapeError,
     SystemSpec,
-    _coherence_max,
-    _stack_eigenvalues,
     state_eigenvalues,
 )
 from .errors import DomainError, NumericalError, UnsupportedError
@@ -154,61 +152,14 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
 
 
 def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
-    """True iff rho commutes with H and its eigenvalues do not increase with energy.
+    """True iff no unitary lowers the energy of rho: its ergotropy is zero.
 
-    Energies sorted ascending form one degenerate shell while each lies
-    within 1e-9 of the one before.  Coherence is allowed only inside a
-    shell, and is read from the blocks; a shell's eigenvalues then take the
-    place of its populations, so any ordering inside a shell is passive.
-    Each shell's eigenvalues come from the pieces the blocks cut out of it:
-    a piece without coherence gives its populations, and equal-size
-    coherent pieces share one solve.
+    Zero means at most 1e-12 * max(1, max|E|), read from the state's one
+    cached spectrum, so coherence too weak to give that much work reads as
+    passive.
     """
     energies = _checked_hamiltonian(rho, hamiltonian)
-    order = np.argsort(energies, kind="stable")
-    steps = np.diff(energies[order]) > 1e-9
-    shell = np.empty(rho.dim, dtype=np.int64)
-    shell[order] = np.concatenate([[0], np.cumsum(steps)])
-    if _coherence_max(rho, shell) > 1e-10:
-        return False
-    values, where = _shell_eigenvalues(rho, shell)
-    top = np.full(steps.sum() + 1, -np.inf)
-    np.maximum.at(top, where, values)
-    low = np.full(top.size, np.inf)
-    np.minimum.at(low, where, values)
-    return bool(np.all(top[1:] - low[:-1] <= 1e-12))
-
-
-def _shell_eigenvalues(rho: DensityMatrix, shell: np.ndarray):
-    """Eigenvalues of rho cut to its shells, and the shell of each.
-
-    A block meets each shell in a piece (the block's indices in that
-    shell); coherence between pieces is ignored, which is_passive has
-    bounded by 1e-10 before.
-    """
-    free = np.ones(rho.dim, dtype=bool)
-    values, where = [], []
-    for index, block in rho.groups:
-        free[index] = False
-        lab = shell[index]
-        perm = np.argsort(lab, axis=1, kind="stable")
-        lab = np.take_along_axis(lab, perm, axis=1)
-        start = np.ones(lab.shape, dtype=bool)
-        start[:, 1:] = lab[:, 1:] != lab[:, :-1]
-        row, col = np.nonzero(start)
-        size = np.diff(np.flatnonzero(start.ravel()), append=start.size)
-        for k in np.unique(size):
-            r, c = row[size == k], col[size == k]
-            pos = perm[r[:, None], c[:, None] + np.arange(k)]
-            piece = block[r[:, None, None], pos[:, :, None], pos[:, None, :]]
-            eig = piece.diagonal(axis1=1, axis2=2).real.copy()
-            coherent = (piece * ~np.eye(k, dtype=bool)).any(axis=(1, 2))
-            eig[coherent] = _stack_eigenvalues(piece[coherent])
-            values.append(eig.ravel())
-            where.append(np.repeat(lab[r, c], k))
-    values.append(rho.populations[free])
-    where.append(shell[free])
-    return np.concatenate(values), np.concatenate(where)
+    return bool(ergotropy(rho, energies).ergotropy <= 1e-12 * max(1.0, np.abs(energies).max()))
 
 
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:
@@ -314,4 +265,6 @@ def _checked_hamiltonian(rho: DensityMatrix, hamiltonian) -> np.ndarray:
         raise ShapeError(
             f"Hamiltonian length {energies.size} does not match state dimension {rho.dim}"
         )
+    if not np.isfinite(energies).all():
+        raise DomainError("Hamiltonian has non-finite energies")
     return energies

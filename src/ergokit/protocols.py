@@ -89,6 +89,8 @@ def local_beta_for_bias(spec: SystemSpec, bias: float) -> float:
     gives the same (unbiased) state.
     """
     _require_qubits(spec)
+    if math.isnan(bias):
+        raise DomainError("bias must be a number, got nan")
     gap = spec.energy_gap
     if gap == 0.0:
         return 0.0

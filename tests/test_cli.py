@@ -95,6 +95,17 @@ def test_ergotropy_non_finite_ladder_exit_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "entangled", "--n", "2"],
+    ["--family", "separable", "--n", "3", "--beta", "0"],
+])
+def test_ergotropy_overflowing_ladder_exit_2(args, capsys):
+    # n E_max = 2e308 or 3e308 is inf: the spec refuses it, so no NaN or overflow
+    assert main(["ergotropy", *args, "--energy-ladder", "0,1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert "overflows" in err and "nan" not in out
+
+
 def test_ergotropy_infeasible_entropy_exit_code(capsys):
     code = main(["ergotropy", "--family", "fixed-entropy", "--n", "4",
                  "--total-entropy", "5.0"])
@@ -151,6 +162,13 @@ def test_sweep_infeasible_cells_are_recorded():
     rows = sweep_rows(config)
     assert [r["status"] for r in rows] == ["infeasible", "infeasible", "ok"]
     assert rows[0]["note"]
+
+
+def test_sweep_sizes_the_full_basis_in_bytes():
+    # state-sized vectors cost 64 bytes an index: n = 22 fits 1 GiB, n = 25 does not
+    ok, refused = sweep_rows(SweepConfig(family="separable", n_values=(22, 25)))
+    assert ok["status"] == "ok" and ok["ergotropy"] > 0.0
+    assert refused["status"] == "infeasible" and "bytes" in refused["note"]
 
 
 def test_sweep_protocol_residual_column():

@@ -1,6 +1,7 @@
 """Hilbert-space algebra: Hamming weights, Hamiltonians, traces, spectra, entropy, unitaries."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,19 @@ from ergokit import (
     ValidityError,
     apply_unitary,
     build_hamiltonian,
+    diagonal_state_at_entropy,
     dicke_thermal_mixture,
     entangled_pure_state,
     hamming_weights,
     partial_trace_to,
     state_eigenvalues,
+    product_thermal_diagonal,
     product_thermal_state,
+    separable_optimal_state,
     thermal_state,
     von_neumann_entropy,
 )
+from ergokit import core
 from ergokit.core import _HERMITICITY_TILE, _hermiticity_defect
 from ergokit.verify import random_density_matrix
 
@@ -56,13 +61,39 @@ def test_spec_rejects_bad_parameters():
             SystemSpec(n=2, d=len(ladder), local_energies=ladder, beta=1.0)
     with pytest.raises(DomainError):
         SystemSpec.qubits(2, -0.5)
-    with pytest.raises(CapacityError):
-        SystemSpec.qubits(20, 1.0)
+    # (n E_max)^2 must stay finite: 2e308 overflows, and so does (3e154)^2
+    for n, energy in ((2, 1e308), (3, 1e154)):
+        with pytest.raises(DomainError, match="overflows"):
+            SystemSpec.qubits(n, 1.0, energy=energy)
+    assert SystemSpec.qubits(1, 1.0, energy=1e154).energy_gap == 1e154
 
 
-def test_dim_cap_is_configurable():
-    spec = SystemSpec.qubits(15, 1.0, dim_cap=2 ** 15)
-    assert spec.dim == 32768
+def test_state_sized_arrays_are_refused_before_they_are_built(monkeypatch):
+    # the limit is in bytes, where arrays are built; a spec alone is small
+    assert SystemSpec.qubits(1000, 1.0).dim == 2 ** 1000
+    builders = {
+        "hamming_weights": lambda spec: hamming_weights.__wrapped__(spec.n),  # past its cache
+        "build_hamiltonian": build_hamiltonian,
+        "product_thermal_diagonal": product_thermal_diagonal,
+        "entangled_pure_state": entangled_pure_state,
+        "separable_optimal_state": separable_optimal_state,
+        "diagonal_state_at_entropy": lambda spec: diagonal_state_at_entropy(spec, 2.0),
+        "dicke_thermal_mixture": dicke_thermal_mixture,
+    }
+    # 64 bytes per basis index: a 64 MiB limit admits n = 20 qubits, not n = 21,
+    # whose smallest vector alone would take 16 MiB
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 64 * 2 ** 20)
+    for name, build in builders.items():
+        if name != "dicke_thermal_mixture":  # its C(40, 20) shell entries are over
+            build(SystemSpec.qubits(20, 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="bytes"):
+                build(SystemSpec.qubits(21, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
 
 
 def test_hamming_weights_and_negation():

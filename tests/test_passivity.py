@@ -1,5 +1,6 @@
 """Passive states, ergotropy, entropy inversion and the work bounds."""
 
+import functools
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from ergokit import (
     gibbs_weighted_superposition,
     is_passive,
     passive_state,
+    product_thermal_diagonal,
     product_thermal_state,
     separable_optimal_state,
     separable_work_limit,
@@ -30,6 +32,7 @@ from ergokit import passivity
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.verify import random_density_matrix
+from strategies import specs
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -227,6 +230,47 @@ def test_is_passive_rejects_random_coherent_states():
         for _ in range(5):
             assert not is_passive(random_density_matrix(rng, spec.dim),
                                   build_hamiltonian(spec))
+
+
+def test_is_passive_allows_work_up_to_1e12_of_the_largest_energy():
+    # an inverted pair with population gap x under H = (0, E) stores work x E,
+    # against a tolerance of 1e-12 max(1, E)
+    for energy in (0.5, 100.0):
+        for share, passive in ((0.5, True), (2.0, False)):
+            x = share * 1e-12 * max(1.0, energy) / energy
+            rho = DensityMatrix.from_diagonal([0.5 - x / 2, 0.5 + x / 2])
+            assert is_passive(rho, [0.0, energy]) is passive
+
+
+def test_is_passive_and_ergotropy_reject_non_finite_energies():
+    rho = DensityMatrix.from_diagonal([0.7, 0.3])
+    for energies in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(DomainError, match="finite"):
+            is_passive(rho, energies)
+        with pytest.raises(DomainError, match="finite"):
+            ergotropy(rho, energies)
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(dim: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(dim))))
+
+
+@settings(max_examples=200)
+@given(spec=specs(max_dim=8), data=st.data())
+def test_is_passive_is_zero_work_against_the_permutation_minimum(spec, data):
+    # populations: the thermal product at the spec's beta, shuffled, or random
+    energies = build_hamiltonian(spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        pops = product_thermal_diagonal(spec)[rng.permutation(spec.dim)]
+    else:
+        pops = rng.dirichlet(np.ones(spec.dim))
+    rho = DensityMatrix.from_diagonal(pops)
+    oracle = float((pops[_permutations(spec.dim)] @ energies).min())
+    assert abs(ergotropy(rho, energies).passive_energy - oracle) <= 1e-12
+    gap = float(pops @ energies) - oracle
+    assert is_passive(rho, energies) is bool(gap <= 1e-12 * max(1.0, energies.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +539,3 @@ def test_locally_thermal_work_respects_total_energy_bound(rng):
     for t in rng.uniform(size=6):
         mixed = DensityMatrix(t * sep + (1 - t) * product)
         assert ergotropy(mixed, ham).ergotropy <= bound + 1e-9
-
-
-def test_ergotropy_convexity_small_sample(rng):
-    from ergokit.verify import convexity_gap
-
-    assert convexity_gap(rng, samples=60) <= 1e-9

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergokit import (
     DomainError,
@@ -12,12 +13,10 @@ from ergokit import (
     UnsupportedError,
     apply_unitary,
     bias_after_inversion,
-    build_hamiltonian,
-    entropy_constrained_bound,
-    ergotropy,
     hamming_weights,
     inversion_sequence_to_bias,
     level_inversion_unitary,
+    local_beta_for_bias,
     measure_bias,
     pair_rotation_unitary,
     partial_trace_to,
@@ -28,6 +27,7 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
+from strategies import specs
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +113,6 @@ def test_unreachable_bias_raises():
         prepare_locally_thermal(spec, 1.0, 0.99)
 
 
-def test_rotation_preserves_entropy_and_saturates_bound():
-    for n in (1, 2, 3, 4, 5):
-        spec = SystemSpec.qubits(n, 1.0)
-        result = prepare_locally_thermal(spec, 2.0, thermal_params(spec).bias)
-        total_entropy = n * thermal_entropy(spec, 2.0)
-        assert abs(von_neumann_entropy(result.state) - total_entropy) <= 1e-9
-        work = ergotropy(result.state, build_hamiltonian(spec)).ergotropy
-        assert abs(work - entropy_constrained_bound(spec, total_entropy)) <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # shell inversions
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ def test_inversion_twice_restores_diagonal_states():
     unitary = level_inversion_unitary(spec, 1)
     once = apply_unitary(state, unitary)
     # diagonal states stay diagonal (cos(pi/2) leaves only epsilon-size residue)
-    assert once.off_diagonal_max() <= 1e-16
+    assert np.abs(once.entries - np.diag(once.diagonal)).max() <= 1e-16
     twice = apply_unitary(once, unitary)
     np.testing.assert_allclose(twice.diagonal, state.diagonal, atol=1e-14)
 
@@ -172,19 +162,6 @@ def test_bias_shift_worked_example_n8():
     start = product_thermal_state(spec, math.log(3.0))  # excited population 0.25
     measured = measure_bias(apply_unitary(start, level_inversion_unitary(spec, 2)), spec)
     assert abs(predicted - measured) <= 1e-12
-
-
-def test_bias_shift_matches_matrix_measurement():
-    for n in range(2, 9):
-        spec = SystemSpec.qubits(n, 1.0)
-        excited = thermal_params(spec, 1.0).populations[1]
-        start = product_thermal_state(spec, 1.0)
-        for level in range(0, (n - 1) // 2 + 1):
-            if level >= n / 2:
-                continue
-            predicted = bias_after_inversion(spec, excited, level)
-            swapped = apply_unitary(start, level_inversion_unitary(spec, level))
-            assert abs(predicted - measure_bias(swapped, spec)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +203,20 @@ def test_sequence_interior_target():
     assert result.residual < bias_prime
     assert result.levels  # at least one inversion applied
     assert sorted(set(result.levels)) == sorted(result.levels)
+
+
+@settings(max_examples=100)
+@given(spec=specs(max_dim=1024).filter(lambda spec: spec.d == 2 and spec.n >= 2),
+       fraction=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0))
+def test_sequence_never_moves_away_from_the_target(spec, fraction):
+    # the chain starts at the product's bias b' and keeps only shrinking steps
+    bias_prime = thermal_params(spec).bias
+    target = fraction * bias_prime
+    result = inversion_sequence_to_bias(spec, spec.beta, target)
+    assert result.residual <= abs(bias_prime - target) + 1e-12
+    assert abs(result.achieved_bias - measure_bias(result.state, spec)) <= 1e-12
+
+
+def test_local_beta_for_bias_rejects_nan():
+    with pytest.raises(DomainError):
+        local_beta_for_bias(SystemSpec.qubits(2, 1.0), math.nan)

@@ -87,7 +87,6 @@ def test_parts_agree_with_the_dense_matrix(drawn):
     for state in (rho, DensityMatrix(dense)):
         assert float(np.abs(state_eigenvalues(state) - spectrum).max()) <= 1e-12
         np.testing.assert_array_equal(state.diagonal, dense.diagonal().real)
-        assert state.off_diagonal_max() == np.abs(dense - np.diag(dense.diagonal())).max()
         for keep in range(1, spec.n + 1):
             reduced = partial_trace_to(state, spec, keep).entries
             assert float(np.abs(reduced - dense_partial_trace(dense, spec, keep)).max()) <= 1e-12
@@ -241,13 +240,16 @@ def test_dense_arrays_are_sized_before_they_are_built(monkeypatch):
         monkeypatch.setattr(core, "DENSE_BYTES_MAX", limit)
         with pytest.raises(CapacityError, match=what):
             min_pt_eigenvalue(state, spec, half)
-    # that of a diagonal state sizes no array; a sweep cell over the limit
-    # keeps its row, with the partial-transpose column blank and the reason
-    # in the note
-    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 0)
+    # that of a diagonal state sizes no array, so the least limit that admits
+    # the state's vectors (64 bytes an index) still fills its column; a sweep
+    # cell over the limit keeps its row, with the partial-transpose column
+    # blank and the reason in the note: the Dicke mixture's shell blocks
+    # (16 bytes an entry) fit where its moved entries (48 bytes) do not
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 64 * 2 ** 8)
     row, = cli.sweep_rows(cli.SweepConfig(family="separable", n_values=(8,), include_ppt=True))
-    assert row["status"] == "ok"
-    row, = cli.sweep_rows(cli.SweepConfig(family="entangled", n_values=(8,), include_ppt=True))
+    assert row["status"] == "ok" and row["ppt_min_eig"] == 0.0
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * math.comb(16, 8))
+    row, = cli.sweep_rows(cli.SweepConfig(family="dicke", n_values=(8,), include_ppt=True))
     assert row["status"] == "ok" and "ppt_min_eig" not in row and "bytes" in row["note"]
     assert row["ergotropy"] > 0.0
     monkeypatch.setattr(core, "DENSE_BYTES_MAX", 16 * spec.dim ** 2)
