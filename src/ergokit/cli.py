@@ -186,77 +186,78 @@ def _parse_n_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
-_CONFIG_COERCE = {
-    "beta": float, "beta_prime": float, "total_entropy": float,
-    "target_bias": lambda v: [float(x) for x in str(v).split()],
-    "n": str, "n_max": int, "d": int, "seed": int,
-    "energy_ladder": str, "out": str, "format": str, "family": str,
-    "suite": str, "kind": str, "ppt": lambda v: str(v).lower() in ("1", "true", "yes"),
+# --config is read before the subcommand's parser runs, so that the file's
+# flags can go in front of the command line's
+_CONFIG = argparse.ArgumentParser(prog="ergokit", add_help=False, allow_abbrev=False)
+_CONFIG.add_argument("--config", metavar="FILE",
+                     help="key = value file, read as flags before the command line's")
+
+# options that several subcommands read; each lists the ones it takes
+_SHARED = {
+    "--beta": dict(type=float, default=1.0,
+                   help="reference inverse temperature (units 1/E_1)"),
+    "--energy-ladder": dict(dest="energy_ladder",
+                            help="comma-separated local energies, ground first (default 0,1,...,d-1)"),
+    "--d": dict(type=int, default=2, help="local dimension"),
+    "--out": dict(help="output file path"),
+    "--format": dict(choices=("csv", "svg", "both"), default="csv"),
 }
 
 
-def load_config_file(path) -> dict:
-    """Read one `key = value` per line; '#' starts a comment."""
-    values = {}
+def load_config_file(path) -> list[str]:
+    """The flags of a `key = value` file, one pair a line; '#' starts a comment.
+
+    `key = true` is the bare flag --key, and a value of several words
+    repeats the flag once per word.  The subcommand's parser checks them.
+    """
+    flags = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise DomainError(f"config line is not key = value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in _CONFIG_COERCE:
-            raise DomainError(f"unknown config key {key!r}")
-        values[dest] = _CONFIG_COERCE[dest](value)
-    return values
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise DomainError("a config file cannot name another config file")
+        words = value.split() or [""]
+        flags.extend([flag] if value == "true" else [f"{flag}={word}" for word in words])
+    return flags
 
 
-def _scan_config(argv) -> dict:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return load_config_file(argv[i + 1])
-        if token.startswith("--config="):
-            return load_config_file(token.split("=", 1)[1])
-    return {}
-
-
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value file; flags override it")
-    common.add_argument("--beta", type=float, default=1.0,
-                        help="reference inverse temperature (units 1/E_1)")
-    common.add_argument("--energy-ladder", dest="energy_ladder",
-                        help="comma-separated local energies, ground first (default 0,1,...,d-1)")
-    common.add_argument("--d", type=int, default=2, help="local dimension")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--format", choices=("csv", "svg", "both"), default="csv")
-
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ergokit",
                                      description="work extraction from correlated locally thermal states")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig = sub.add_parser("figure1", parents=[common],
-                         help="emit the three reference work-ratio curves")
-    fig.add_argument("--n-max", dest="n_max", type=int, default=20)
-    fig.set_defaults(handler=_cmd_figure1)
+    def command(name, handler, help, *shared):
+        """A subcommand taking --config and the named _SHARED options."""
+        cmd = sub.add_parser(name, parents=[_CONFIG], allow_abbrev=False, help=help)
+        for flag in shared:
+            cmd.add_argument(flag, **_SHARED[flag])
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    erg = sub.add_parser("ergotropy", parents=[common],
-                         help="work report for one state family")
+    fig = command("figure1", _cmd_figure1, "emit the three reference work-ratio curves",
+                  "--beta", "--out", "--format")
+    fig.add_argument("--n-max", dest="n_max", type=int, default=20)
+
+    erg = command("ergotropy", _cmd_ergotropy, "work report for one state family",
+                  "--beta", "--energy-ladder", "--d", "--out")
     erg.add_argument("--family", choices=STATE_FAMILIES, required=True)
     erg.add_argument("--n", required=True)
     erg.add_argument("--total-entropy", dest="total_entropy", type=float)
-    erg.set_defaults(handler=_cmd_ergotropy)
 
-    ver = sub.add_parser("verify", parents=[common], help="run invariant suites")
+    ver = command("verify", _cmd_verify, "run invariant suites")
     ver.add_argument("--suite", choices=("all", "passivity", "protocols",
                                          "entanglement", "bounds"), default="all")
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.add_argument("--json", action="store_true",
                      help="print the report as one JSON object")
-    ver.set_defaults(handler=_cmd_verify)
 
-    swp = sub.add_parser("sweep", parents=[common], help="scan a family over n, emit CSV")
+    swp = command("sweep", _cmd_sweep, "scan a family over n, emit CSV",
+                  "--beta", "--energy-ladder", "--d", "--out", "--format")
     swp.add_argument("--family", choices=SWEEP_FAMILIES, required=True)
     swp.add_argument("--n", required=True, help="single size or inclusive range lo:hi")
     swp.add_argument("--total-entropy", dest="total_entropy", type=float)
@@ -264,20 +265,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     swp.add_argument("--target-bias", dest="target_bias", type=float, action="append")
     swp.add_argument("--ppt", action="store_true",
                      help="add the half-split partial-transpose minimum (n >= 2)")
-    swp.set_defaults(handler=_cmd_sweep)
 
-    pro = sub.add_parser("protocol", parents=[common], help="bias-steering demos")
+    pro = command("protocol", _cmd_protocol, "bias-steering demos", "--energy-ladder", "--d")
     pro.add_argument("--kind", choices=("rotate", "invert"), default="rotate")
     pro.add_argument("--n", required=True)
     pro.add_argument("--beta-prime", dest="beta_prime", type=float, required=True)
     pro.add_argument("--target-bias", dest="target_bias", type=float, default=0.0)
-    pro.set_defaults(handler=_cmd_protocol)
-
-    if defaults:
-        for p in (fig, erg, ver, swp, pro):
-            valid = {k: v for k, v in defaults.items()
-                     if any(a.dest == k for a in p._actions)}
-            p.set_defaults(**valid)
     return parser
 
 
@@ -362,7 +355,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_protocol(args) -> int:
     n = int(args.n)
-    spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder))
+    # the state is prepared at beta'; the reference beta plays no part
+    spec = _spec(n, args.d, 1.0, _parse_ladder(args.energy_ladder))
     _print_values({
         "kind": args.kind,
         "n": n,
@@ -375,10 +369,13 @@ def _cmd_protocol(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = _scan_config(argv)
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
+        config, argv = _CONFIG.parse_known_args(argv)
+        if config.config is not None:
+            argv[1:1] = load_config_file(config.config)  # after the subcommand
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
+        return exc.code
     except InfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

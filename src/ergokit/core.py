@@ -112,9 +112,13 @@ class SystemSpec:
         return cls(n=n, d=2, local_energies=(0.0, float(energy)), beta=beta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every linear index of an n-qubit register."""
+    """Hamming weight of every linear index of an n-qubit register.
+
+    The cache keeps the last n only, so a run over several sizes holds one
+    state-sized vector.
+    """
     _check_vector_size(2 ** n)
     w = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -297,7 +301,10 @@ class StructuredUnitary:
         if outside.any():
             a, b = pairs[:, outside][:, 0]
             raise ValidityError(f"rotation indices ({a}, {b}) outside dimension {dim}")
-        if np.unique(pairs).size != pairs.size:
+        _check_vector_size(dim)  # one mark an index, like a state vector
+        used = np.zeros(dim, dtype=bool)
+        used[pairs] = True
+        if np.count_nonzero(used) != pairs.size:
             raise ValidityError("rotation pairs must be disjoint")
         # math.cos and math.sin once per distinct angle
         distinct, where = np.unique(angles, return_inverse=True)
@@ -348,7 +355,7 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
     """Reduced state of one subsystem (1-based index), tracing out the rest.
 
-    The diagonal sums the full diagonal in index order; an off-diagonal
+    The diagonal sums the full diagonal pairwise; an off-diagonal
     entry sums the block entries whose two indices differ only in the kept
     digit.
     """
@@ -361,7 +368,7 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
     right = d ** (spec.n - keep)
     out = np.zeros((d, d), dtype=complex)
     by_digit = rho.diagonal.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
-    np.fill_diagonal(out, np.cumsum(by_digit, axis=1)[:, -1])
+    np.fill_diagonal(out, by_digit.sum(axis=1))
     for index, values in rho.groups:
         digit = index // right % d
         rest = index - digit * right

@@ -126,56 +126,6 @@ def _shrink_to_mixed(rho: DensityMatrix, scale: float) -> DensityMatrix:
     return DensityMatrix(scale * rho.entries + (1 - scale) * np.eye(dim) / dim)
 
 
-def convexity_gap(rng, samples: int) -> float:
-    """Worst violation of the equal-energy convexity inequality (<= 0 is a pass)."""
-    specs = [
-        SystemSpec.qubits(2, 1.0),
-        SystemSpec.qubits(3, 1.0),
-        SystemSpec.qubits(4, 1.0),
-        SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 1.6), beta=0.8),
-        SystemSpec(n=2, d=4, local_energies=(0.0, 0.5, 1.1, 2.0), beta=1.2),
-    ]
-    hams = [build_hamiltonian(s) for s in specs]
-    worst = -math.inf
-    for k in range(samples):
-        spec, ham = (specs[k % len(specs)], hams[k % len(specs)])
-        rho1, rho2 = equal_energy_pair(rng, ham, spec.dim)
-        t = float(rng.uniform())
-        mixed = DensityMatrix(t * rho1.entries + (1 - t) * rho2.entries)
-        lhs = ergotropy(mixed, ham).ergotropy
-        rhs = (t * ergotropy(rho1, ham).ergotropy
-               + (1 - t) * ergotropy(rho2, ham).ergotropy)
-        worst = max(worst, lhs - rhs)
-    return worst
-
-
-def mixture_family_samples(rng, samples: int):
-    """Separable locally thermal mixtures t*rho_sep + (1-t)*thermal product.
-
-    Yields (spec, t, work, work_limit, entropy, local_entropy).
-    """
-    out = []
-    for k in range(samples):
-        n = int(rng.integers(2, 7))
-        beta = float(rng.uniform(0.4, 2.0))
-        spec = SystemSpec.qubits(n, beta)
-        ham = build_hamiltonian(spec)
-        t = 1.0 if k % 40 == 0 else float(rng.uniform())
-        mixed = DensityMatrix.from_diagonal(
-            t * separable_optimal_state(spec).diagonal
-            + (1 - t) * product_thermal_state(spec).diagonal
-        )
-        out.append((
-            spec,
-            t,
-            ergotropy(mixed, ham).ergotropy,
-            separable_work_limit(spec),
-            von_neumann_entropy(mixed),
-            thermal_entropy(spec),
-        ))
-    return out
-
-
 def _max_marginal_defect(rho: DensityMatrix, spec: SystemSpec,
                          reference: DensityMatrix) -> float:
     worst = 0.0
@@ -247,7 +197,25 @@ def check_unitary_invariance(rng):
 
 
 def check_ergotropy_convexity(rng):
-    worst = convexity_gap(rng, samples=500)
+    # equal-energy mixtures: W(t rho1 + (1-t) rho2) <= t W(rho1) + (1-t) W(rho2)
+    specs = [
+        SystemSpec.qubits(2, 1.0),
+        SystemSpec.qubits(3, 1.0),
+        SystemSpec.qubits(4, 1.0),
+        SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 1.6), beta=0.8),
+        SystemSpec(n=2, d=4, local_energies=(0.0, 0.5, 1.1, 2.0), beta=1.2),
+    ]
+    hams = [build_hamiltonian(s) for s in specs]
+    worst = -math.inf
+    for k in range(500):
+        spec, ham = (specs[k % len(specs)], hams[k % len(specs)])
+        rho1, rho2 = equal_energy_pair(rng, ham, spec.dim)
+        t = float(rng.uniform())
+        mixed = DensityMatrix(t * rho1.entries + (1 - t) * rho2.entries)
+        lhs = ergotropy(mixed, ham).ergotropy
+        rhs = (t * ergotropy(rho1, ham).ergotropy
+               + (1 - t) * ergotropy(rho2, ham).ergotropy)
+        worst = max(worst, lhs - rhs)
     assert worst <= 1e-9, f"convexity violated by {worst}"
 
 

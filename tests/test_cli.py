@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,9 +321,75 @@ def test_config_file_flag_overrides(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # keys are checked by the subcommand's parser, like the flags they become
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mystery = 1\n", encoding="utf-8")
-    with pytest.raises(Exception):
-        load_config_file(cfg)
+    assert load_config_file(cfg) == ["--mystery=1"]
     assert main(["figure1", "--config", str(cfg)]) == 2
+    assert "--mystery" in capsys.readouterr().err
+    for text in ("n-max\n", f"config = {cfg}\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["figure1", "--config", str(cfg)]) == 2
+
+
+def test_config_values_take_the_flags_types(tmp_path, monkeypatch, capsys, verify_all):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = protocol\nn = 3:4\nbeta_prime = 1.0\n"
+                   "target_bias = -0.3 0.1  # one flag a word\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert [(r["n"], r["target_bias"]) for r in rows] == [
+        (3, -0.3), (3, 0.1), (4, -0.3), (4, 0.1)]
+
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
+        r for r in verify_all.results if r.name.startswith(f"{suite}/")])
+    cfg.write_text("suite = entanglement\njson = true\n", encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 3
+
+
+PROTOCOL = ["protocol", "--n", "3", "--beta-prime", "1.0"]
+ERGOTROPY = ["ergotropy", "--family", "entangled", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    # options a subcommand does not read
+    (["figure1", "--energy-ladder", "0,5,9"], None, "--energy-ladder"),
+    (["figure1", "--d", "3"], None, "--d"),
+    (["figure1", "--seed", "3"], None, "--seed"),
+    ([*ERGOTROPY, "--seed", "3"], None, "--seed"),
+    ([*ERGOTROPY, "--format", "svg"], None, "--format"),
+    (["verify", "--beta", "2"], None, "--beta"),
+    (["verify", "--energy-ladder", "0,1"], None, "--energy-ladder"),
+    (["verify", "--d", "2"], None, "--d"),
+    (["verify", "--out", "x.csv"], None, "--out"),
+    (["verify", "--format", "csv"], None, "--format"),
+    (["sweep", "--family", "entangled", "--n", "2", "--seed", "3"], None, "--seed"),
+    ([*PROTOCOL, "--beta", "2"], None, "--beta"),  # not an abbreviation of --beta-prime
+    ([*PROTOCOL, "--seed", "3"], None, "--seed"),
+    ([*PROTOCOL, "--out", "x.csv"], None, "--out"),
+    ([*PROTOCOL, "--format", "csv"], None, "--format"),
+    # config values are checked where the flags are
+    (PROTOCOL, "kind = rotat", "--kind"),
+    (["figure1"], "format = pdf", "--format"),
+    (["figure1"], "seed = 3", "--seed"),
+])
+def test_inputs_a_subcommand_does_not_read_exit_2(argv, config, key, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n", encoding="utf-8")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert key in err and not out
+
+
+def test_readme_commands_parse():
+    # every `ergokit ...` line of README.md is a valid command line
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#", 1)[0] for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("ergokit ")]
+    assert len(lines) >= 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

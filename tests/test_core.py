@@ -102,6 +102,9 @@ def test_hamming_weights_and_negation():
     assert w.sum() == 4 * 2 ** 3
     for i in range(16):
         assert w[i] + w[(2 ** 4 - 1) ^ i] == 4
+    # one cached size at a time, so a run over several n holds one vector
+    assert hamming_weights(5).size == 32
+    assert hamming_weights.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +330,9 @@ def test_structured_unitary_validation():
         StructuredUnitary(rotations=((2, 2, 0.1),), dim=4)
     with pytest.raises(ValidityError):
         StructuredUnitary(rotations=((0, 1, 0.1), (3, 0, 0.2)), dim=4)
+    # the disjointness check marks every index, so dim is sized like a state
+    with pytest.raises(CapacityError, match="bytes"):
+        StructuredUnitary(rotations=((0, 1, 0.1),), dim=2 ** 60)
     mat = StructuredUnitary(rotations=((0, 3, 0.4), (1, 2, 0.9)), dim=4).materialize()
     assert float(np.abs(mat @ mat.conj().T - np.eye(4)).max()) <= 1e-12
 
