@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (_SLAB, DensityMatrix, SystemSpec, _check_bytes, _check_dense_size,
-                   _component_labels, _components, _stack_eigenvalues, partial_trace_to,
+from .core import (DensityMatrix, SystemSpec, _check_bytes, _check_dense_size,
+                   _component_blocks, _component_labels, _parts_eigenvalues, partial_trace_to,
                    von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError
 from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
@@ -94,9 +94,11 @@ def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
     i).  The nonzero moved entries link their two indices; each connected
     component is solved as one block, equal-size components in one stacked
     call, and every other index contributes its diagonal entry (0 where no
-    entry reaches it).  Besides the component blocks its arrays take
-    O(dim + stored entries) bytes; raises CapacityError before the moved
-    entries, or they and the component blocks, exceed core.DENSE_BYTES_MAX.
+    entry reaches it).  A caller's dense array is stored by its components
+    (core.DensityMatrix), so this holds for it too.  Besides the component
+    blocks its arrays take O(dim + stored entries) bytes; raises
+    CapacityError before the moved entries, or they and the component
+    blocks, exceed core.DENSE_BYTES_MAX.
     """
     _check_split(rho, spec, part)
     dim, d = spec.dim, spec.d
@@ -117,25 +119,13 @@ def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
         edges.append(np.stack([base[blk, r] + digits[blk, c], base[blk, c] + digits[blk, r]]))
     edges = np.concatenate(edges, axis=1)
     label = _component_labels(dim, *edges)
-    member = np.bincount(label, minlength=dim)[label] > 1  # in a component of two or more
-    stacks, size, row, local = _components(label, member)
-    stack_bytes = 16 * sum(index.size * k for k, index in stacks.items())
+    count = np.bincount(label, minlength=dim)
+    member = count[label] > 1  # in a component of two or more
+    stack_bytes = 16 * int((count[count > 1] ** 2).sum())
     _check_bytes(_PT_ENTRY_BYTES * stored + stack_bytes, "the partial transpose's components")
     diag = rho.diagonal
-    found = [diag[~member]]
-    for k, index in stacks.items():
-        stack = np.zeros((index.shape[0], k, k), dtype=complex)
-        stack[:, np.arange(k), np.arange(k)] = diag[index]
-        for old, values in rho.groups:
-            base, digits = old - side[old], side[old]
-            step = max(1, _SLAB // old.size)  # rows of every block per slab
-            for lo in range(0, old.shape[1], step):
-                i = base[:, lo:lo + step, None] + digits[:, None, :]
-                j = base[:, None, :] + digits[:, lo:lo + step, None]
-                here = (size[i] == k) & (label[i] == label[j])
-                stack[row[i[here]], local[i[here]], local[j[here]]] = values[:, lo:lo + step][here]
-        found.append(_stack_eigenvalues(stack).ravel())
-    return float(np.concatenate(found).min())
+    stacks = _component_blocks(label, member, diag, rho.groups, swap=side)[0]
+    return float(_parts_eigenvalues(diag, stacks.values()).min())
 
 
 def entanglement_verdict(rho: DensityMatrix, spec: SystemSpec, part: Bipartition,

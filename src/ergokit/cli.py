@@ -9,6 +9,7 @@ verify (invariant suites), sweep (CSV parameter scans) and protocol
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -366,8 +367,16 @@ def _cmd_protocol(args) -> int:
     return 0
 
 
+# a negative number with an exponent, which argparse would read as an option
+_EXPONENT_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    for at in range(len(argv) - 1, 0, -1):  # `--opt -1e-3` as `--opt=-1e-3`
+        flag = argv[at - 1]
+        if flag.startswith("--") and "=" not in flag and _EXPONENT_NEGATIVE.fullmatch(argv[at]):
+            argv[at - 1:at + 1] = [f"{flag}={argv[at]}"]
     try:
         config, argv = _CONFIG.parse_known_args(argv)
         if config.config is not None:

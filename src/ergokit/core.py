@@ -10,9 +10,9 @@ disjoint index sets.  The diagonal, entangled and pair-rotated states
 hold O(dim) numbers this way and the Dicke mixture one block per
 excitation shell, so building, rotating, tracing and solving the
 package's states never touches a dim x dim array.  A caller's dense array
-is stored as one block over every index and takes the same paths as any
-other state.  The spectrum is solved block by block and cached on the
-state, so each state is solved once.
+is split into the connected components of its nonzero entries, one block
+each, and takes the same paths as any other state.  The spectrum is solved
+block by block and cached on the state, so each state is solved once.
 
 Conventions
 -----------
@@ -183,6 +183,28 @@ def _single_block(arr: np.ndarray) -> _Parts:
     return _Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None])])
 
 
+def _dense_parts(arr: np.ndarray) -> _Parts:
+    """Parts of a caller's dense matrix: one block per connected component.
+
+    A nonzero entry links its two indices whatever its mirror holds, so an
+    entry without a Hermitian partner still meets the blocks' Hermiticity
+    test.  Indices no entry links become populations, after the same test
+    on their diagonal.  An array whose first row has no zero is a single
+    component, kept as one block without labelling.
+    """
+    dim = arr.shape[0]
+    if np.count_nonzero(arr[:1]) == dim:
+        return _single_block(arr)
+    label = _component_labels(dim, *np.nonzero(arr))
+    member = np.bincount(label, minlength=dim)[label] > 1
+    diag = arr.diagonal()
+    defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
+    if not defect <= HERMITICITY_TOL:
+        raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
+    stacks = _component_blocks(label, member, diag, _single_block(arr).groups)[0]
+    return _Parts(np.where(member, 0.0, diag.real), stacks.values())
+
+
 class DensityMatrix:
     """Hermitian, unit-trace operator on the global space, stored in parts.
 
@@ -190,9 +212,10 @@ class DensityMatrix:
     block indices).  groups is a tuple of (index, values) pairs: index has
     shape (m, k) with ascending rows, values has shape (m, k, k), and all
     blocks are disjoint.  A dense array given by a caller is copied into one
-    block over every index, which every operation treats as it treats the
-    package's blocks.  entries is the dense matrix, assembled from the parts
-    on each access (read-only); it raises CapacityError over DENSE_BYTES_MAX.
+    block per connected component of its nonzero entries, and its unlinked
+    indices into populations.  entries is the dense matrix, assembled from
+    the parts on each access (read-only); it raises CapacityError over
+    DENSE_BYTES_MAX.
 
     Finite entries, Hermiticity and trace are verified at construction;
     positivity is verified wherever eigenvalues are computed (eigenvalues
@@ -207,7 +230,7 @@ class DensityMatrix:
             arr = np.array(entries, dtype=complex, copy=True, order="C")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
-            parts = _single_block(arr)
+            parts = _dense_parts(arr)
         # a non-finite population makes the trace non-finite
         trace = float(parts.populations.sum())
         for index, values in parts.groups:
@@ -418,44 +441,71 @@ def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def _components(comp: np.ndarray, member: np.ndarray):
-    """The indices where member is set, grouped by their component label comp.
+def _component_blocks(label: np.ndarray, member: np.ndarray, diag: np.ndarray, groups,
+                      swap=None):
+    """Blocks on the components of label, over the indices where member is set.
 
-    Returns a dict from size k to an (m, k) array holding one component of
-    that size per row, members ascending and rows ordered by label; and,
-    per index, the size of its component (0 outside member), its row in
-    that array and its position in the row.
+    Returns a dict from size k to an (index, values) stack: index is (m, k),
+    one component per row, members ascending and rows ordered by label;
+    values holds diag on each diagonal, then every entry of the old blocks
+    groups that lands inside a component.  An entry (r, c) lands at (r, c),
+    or with swap (the partial transpose) at (r - swap[r] + swap[c],
+    c - swap[c] + swap[r]).  Old blocks go in a slab at a time, so each
+    temporary holds at most _SLAB entries, or one row of every block.  Also
+    returns, per index, the size of its component (0 outside member), its
+    row in that stack and its position in the row.
     """
     members = np.flatnonzero(member)
-    members = members[np.argsort(comp[members], kind="stable")]
-    starts = np.flatnonzero(np.diff(comp[members], prepend=-1))
+    members = members[np.argsort(label[members], kind="stable")]
+    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
     sizes = np.diff(starts, append=members.size)
-    size, row, local = np.zeros((3, comp.size), dtype=np.int64)
+    size, row, local = np.zeros((3, label.size), dtype=np.int64)
     size[members] = np.repeat(sizes, sizes)
     local[members] = np.arange(members.size) - np.repeat(starts, sizes)
     stacks = {}
     for k in np.unique(sizes).tolist():
-        stacks[k] = members[starts[sizes == k][:, None] + np.arange(k)]
-        row[stacks[k]] = np.arange(stacks[k].shape[0])[:, None]
+        index = members[starts[sizes == k][:, None] + np.arange(k)]
+        row[index] = np.arange(index.shape[0])[:, None]
+        values = np.zeros((index.shape[0], k, k), dtype=complex)
+        values[:, np.arange(k), np.arange(k)] = diag[index]
+        stacks[k] = index, values
+    for old, entries in groups if stacks else ():  # no entry lands where no stack is
+        shift = None if swap is None else swap[old]
+        step = max(1, _SLAB // max(1, old.size))
+        for lo in range(0, old.shape[1], step):
+            i, j = old[:, lo:lo + step, None], old[:, None, :]
+            if swap is not None:
+                move = shift[:, None, :] - shift[:, lo:lo + step, None]
+                i, j = i + move, j - move
+            here = (size[i] > 0) & (label[i] == label[j])
+            i, j = np.broadcast_to(i, here.shape)[here], np.broadcast_to(j, here.shape)[here]
+            landed, k_of = entries[:, lo:lo + step][here], size[i]
+            for k, (_, values) in stacks.items():
+                at = k_of == k
+                values[row[i[at]], local[i[at]], local[j[at]]] = landed[at]
     return stacks, size, row, local
+
+
+def _parts_eigenvalues(populations: np.ndarray, groups) -> np.ndarray:
+    """The populations outside every block, then each block group's eigenvalues, unsorted."""
+    free = np.ones(populations.size, dtype=bool)
+    found = []
+    for index, values in groups:
+        free[index] = False
+        found.append(_stack_eigenvalues(values).ravel())
+    return np.concatenate([populations[free], *found])
 
 
 def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, sorted descending, as a read-only array.
 
     The populations outside blocks are eigenvalues as they are; each block
-    group is solved in one stacked call, so a caller's dense array is
-    solved as one block.  Solved on the first call and cached on the state,
-    so entropy, ergotropy and the passive state of one state share one
-    solve.
+    group is solved in one stacked call.  Solved on the first call and
+    cached on the state, so entropy, ergotropy and the passive state of one
+    state share one solve.
     """
     if rho._spectrum is None:
-        free = np.ones(rho.dim, dtype=bool)
-        blocks = []
-        for index, values in rho.groups:
-            free[index] = False
-            blocks.append(_stack_eigenvalues(values).ravel())
-        vals = np.sort(np.concatenate([rho.populations[free], *blocks]))[::-1]
+        vals = np.sort(_parts_eigenvalues(rho.populations, rho.groups))[::-1]
         if vals[-1] < -PSD_TOL:
             raise ValidityError(f"state has eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
         vals.setflags(write=False)
@@ -475,51 +525,33 @@ def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
 
     The new blocks are the connected components of the old blocks together
     with the rotation pairs.  Each is assembled from its old blocks and
-    populations and rotated with the expressions of a per-rotation update,
-    rows then columns, so its entries are bit-identical to that update;
-    blocks and populations no rotation touches are kept as they are.  Old
-    blocks are copied in, and pairs rotated, a slab at a time, so each
-    temporary holds at most _SLAB entries, or one row of every old
-    block it copies in.
+    populations by _component_blocks and rotated with the expressions of a
+    per-rotation update, rows then columns, so its entries are
+    bit-identical to that update; blocks and populations no rotation
+    touches are kept as they are.  Pairs are rotated a slab at a time, so
+    each temporary holds at most _SLAB entries.
     """
-    dim = rho.dim
     a, b = unitary._pairs
-    # graph node of every index: its block's number, or nblocks + index if free
-    nblocks = sum(index.shape[0] for index, _ in rho.groups)
-    node = nblocks + np.arange(dim)
-    first = 0
+    # edges: the rotation pairs, and every old block's indices to its first
+    ends_a, ends_b = [a], [b]
     for index, _ in rho.groups:
-        node[index] = first + np.arange(index.shape[0])[:, None]
-        first += index.shape[0]
-    na, nb = node[a], node[b]
-    label = _component_labels(nblocks + dim, na, nb)
-    comp = label[node]
-    joined = np.zeros(label.size, dtype=bool)
-    joined[label[na]] = True
-    moved = joined[comp]  # index lies in a new block
-    stacks, size, row, local = _components(comp, moved)
-
-    pops = rho.populations.copy()
-    free = moved & (node >= nblocks)
-    groups = []
+        ends_a.append(np.broadcast_to(index[:, :1], index.shape).ravel())
+        ends_b.append(index.ravel())
+    label = _component_labels(rho.dim, np.concatenate(ends_a), np.concatenate(ends_b))
+    joined = np.zeros(rho.dim, dtype=bool)
+    joined[label[a]] = True
+    moved = joined[label]  # index lies in a new block
+    groups, merged = [], []  # old blocks kept as they are, and those merged into new ones
     for index, values in rho.groups:
         stays = ~moved[index[:, 0]]
-        if stays.all():
-            groups.append((index, values))
-        elif stays.any():
-            groups.append((index[stays], values[stays]))
+        for out, rows in ((groups, stays), (merged, ~stays)):
+            if rows.all():
+                out.append((index, values))
+            elif rows.any():
+                out.append((index[rows], values[rows]))
+    stacks, size, row, local = _component_blocks(label, moved, rho.populations, merged)
     c, s = unitary._cos, unitary._sin
-    for k, index in stacks.items():
-        block = np.zeros((index.shape[0], k, k), dtype=complex)
-        at, col = np.nonzero(free[index])
-        block[at, col, col] = pops[index[at, col]]
-        for old, values in rho.groups:
-            here = size[old[:, 0]] == k
-            pos = local[old[here]]
-            dest = row[old[here, 0]][:, None, None]
-            step = max(1, _SLAB // max(1, pos.size))
-            for r in (slice(lo, lo + step) for lo in range(0, old.shape[1], step)):
-                block[dest, pos[:, r, None], pos[:, None, :]] = values[here, r]
+    for k, (index, block) in stacks.items():
         pick = size[a] == k
         rows, la, lb = row[a[pick]], local[a[pick]], local[b[pick]]
         ca, sa = c[pick, None], s[pick, None]
@@ -534,8 +566,7 @@ def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
                 view[at_a] = ca[p] * row_a + sa[p] * row_b
                 view[at_b] = -sa[p] * row_a + ca[p] * row_b
         groups.append((index, block))
-    pops[moved] = 0.0
-    return _Parts(pops, groups)
+    return _Parts(np.where(moved, 0.0, rho.populations), groups)
 
 
 def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:

@@ -38,41 +38,6 @@ def emit_csv(columns, rows, path=None) -> str:
     return text
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_csv(source) -> tuple[list[str], list[dict]]:
-    """Inverse of emit_csv; accepts a path or CSV text."""
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source
-                                    and Path(source).is_file()):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("CSV must start with a '#'-prefixed header line")
-    columns = [c.strip() for c in lines[0].lstrip("#").strip().split(",")]
-    rows = []
-    for line in lines[1:]:
-        if line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ValueError(f"row has {len(cells)} cells, expected {len(columns)}")
-        rows.append({col: _parse_cell(cell) for col, cell in zip(columns, cells)})
-    return columns, rows
-
-
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
 

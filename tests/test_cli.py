@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, config file, CSV output."""
 
+import argparse
 import json
 import math
 import shlex
@@ -13,7 +14,7 @@ from ergokit.cli import SweepConfig, load_config_file, main, sweep_rows
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.verify import CheckResult
-from ergokit.reporting import parse_csv
+from golden_outputs import parse_csv
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -393,3 +394,35 @@ def test_readme_commands_parse():
     assert len(lines) >= 10
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+# a command each subcommand with a float option runs without it
+FLOAT_OPTION_BASES = {
+    "figure1": ["figure1", "--n-max", "3"],
+    "ergotropy": ["ergotropy", "--family", "fixed-entropy", "--n", "3", "--total-entropy", "1"],
+    "sweep": ["sweep", "--family", "protocol", "--n", "3"],
+    "protocol": PROTOCOL,
+}
+
+
+def _float_options():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, flag) for name, cmd in commands.items() for action in cmd._actions
+            if action.type is float for flag in action.option_strings]
+
+
+def test_every_float_option_has_a_base_command():
+    assert {name for name, _ in _float_options()} == set(FLOAT_OPTION_BASES)
+    assert len(_float_options()) == 9
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e-1"])
+@pytest.mark.parametrize("name, flag", _float_options())
+def test_float_options_read_exponent_negatives(name, flag, value, capsys):
+    # `--opt -1e-3` reads as `--opt=-1e-3`: same output, messages and exit code
+    spaced = main([*FLOAT_OPTION_BASES[name], flag, value]), *capsys.readouterr()
+    joined = main([*FLOAT_OPTION_BASES[name], f"{flag}={value}"]), *capsys.readouterr()
+    assert spaced == joined
+    if (name, flag, value) == ("protocol", "--target-bias", "-1e-3"):
+        assert spaced[0] == 0 and "achieved_bias = -0.001" in spaced[1]

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from ergokit.reporting import emit_csv, format_value, parse_csv, svg_line_chart
+from ergokit.reporting import emit_csv, format_value, svg_line_chart
+from golden_outputs import parse_csv
 
 
 def test_format_value_significant_digits():

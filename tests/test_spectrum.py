@@ -156,6 +156,18 @@ def test_one_sided_tiny_entry_links_a_block(monkeypatch):
         assert abs(value - dense) <= 1e-15
 
 
+def test_a_dense_array_is_solved_by_its_components(monkeypatch):
+    spec = SystemSpec.qubits(8, 1.0)
+    parts = apply_unitary(product_thermal_state(spec, 1.5), pair_rotation_unitary(spec, 0.4))
+    shapes = spy_eigvalsh(monkeypatch)
+    given_densely = DensityMatrix(parts.entries)
+    assert np.array_equal(state_eigenvalues(given_densely), state_eigenvalues(parts))
+    assert shapes and all(shape[1:] == (2, 2) for shape in shapes), shapes
+    # an array whose first row has no zero is kept as one block
+    whole = random_density_matrix(np.random.default_rng(3), 16)
+    assert [index.shape for index, _ in whole.groups] == [(1, 16)]
+
+
 def test_spectrum_is_solved_once_per_state(monkeypatch):
     spec = SystemSpec.qubits(3, 1.0)
     ham = build_hamiltonian(spec)

@@ -266,7 +266,7 @@ def test_pair_rotation_of_a_dense_state_at_n11_stays_within_128_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the dense block itself is 64 MB
+    # the caller's array is 64 MB
     assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
     # two rotations by 0.4 are one by 0.8: the bias law z = cos(1.6) z'
     bias_prime = measure_bias(product_thermal_state(spec, 1.5), spec)
