@@ -183,25 +183,48 @@ def _single_block(arr: np.ndarray) -> _Parts:
     return _Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None])])
 
 
-def _dense_parts(arr: np.ndarray) -> _Parts:
-    """Parts of a caller's dense matrix: one block per connected component.
+def _dense_labels(arr: np.ndarray):
+    """Component label of every index of a dense matrix, or None to keep it one block.
 
-    A nonzero entry links its two indices whatever its mirror holds, so an
-    entry without a Hermitian partner still meets the blocks' Hermiticity
-    test.  Indices no entry links become populations, after the same test
-    on their diagonal.  An array whose first row has no zero is a single
-    component, kept as one block without labelling.
+    A nonzero entry links its two indices whatever its mirror holds.  The
+    index with the most links and the indices it links are one component,
+    so only its links and those of the other indices are labelled.  None
+    when a row has no zero (the first row is looked at first), or when the
+    labelling, at 48 bytes a link, would exceed DENSE_BYTES_MAX.
     """
     dim = arr.shape[0]
     if np.count_nonzero(arr[:1]) == dim:
-        return _single_block(arr)
-    label = _component_labels(dim, *np.nonzero(arr))
+        return None
+    linked = arr != 0
+    linked |= linked.T
+    np.fill_diagonal(linked, False)
+    links = np.count_nonzero(linked, axis=1)
+    hub = int(np.argmax(links))
+    rows = ~linked[hub]
+    if links[hub] == dim - 1 or 48 * int(links[rows].sum()) > DENSE_BYTES_MAX:
+        return None
+    a, b = np.nonzero(linked[rows])
+    return _component_labels(dim, np.flatnonzero(rows)[a], b)
+
+
+def _dense_parts(arr: np.ndarray) -> _Parts:
+    """Parts of a copy of a caller's dense matrix: one block per connected component.
+
+    An entry without a Hermitian partner links its indices too, so it still
+    meets the blocks' Hermiticity test.  Indices no entry links become
+    populations, after the same test on their diagonal.
+    """
+    dim = arr.shape[0]
+    index = np.arange(dim)[None]
+    label = _dense_labels(arr)
+    if label is None:
+        return _Parts(np.zeros(dim), [(index, arr.copy()[None])])
     member = np.bincount(label, minlength=dim)[label] > 1
     diag = arr.diagonal()
     defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
     if not defect <= HERMITICITY_TOL:
         raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-    stacks = _component_blocks(label, member, diag, _single_block(arr).groups)[0]
+    stacks = _component_blocks(label, member, diag, [(index, arr[None])])[0]
     return _Parts(np.where(member, 0.0, diag.real), stacks.values())
 
 
@@ -227,7 +250,7 @@ class DensityMatrix:
         if isinstance(entries, _Parts):
             parts = entries
         else:
-            arr = np.array(entries, dtype=complex, copy=True, order="C")
+            arr = np.asarray(entries, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
             parts = _dense_parts(arr)
@@ -443,7 +466,7 @@ def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _component_blocks(label: np.ndarray, member: np.ndarray, diag: np.ndarray, groups,
                       swap=None):
-    """Blocks on the components of label, over the indices where member is set.
+    """Blocks on the components of label, over the whole components where member is set.
 
     Returns a dict from size k to an (index, values) stack: index is (m, k),
     one component per row, members ascending and rows ordered by label;
@@ -456,33 +479,33 @@ def _component_blocks(label: np.ndarray, member: np.ndarray, diag: np.ndarray, g
     row in that stack and its position in the row.
     """
     members = np.flatnonzero(member)
+    size, row, local, head = np.zeros((4, label.size), dtype=np.int64)
+    if not members.size:
+        return {}, size, row, local
     members = members[np.argsort(label[members], kind="stable")]
     starts = np.flatnonzero(np.diff(label[members], prepend=-1))
     sizes = np.diff(starts, append=members.size)
-    size, row, local = np.zeros((3, label.size), dtype=np.int64)
     size[members] = np.repeat(sizes, sizes)
     local[members] = np.arange(members.size) - np.repeat(starts, sizes)
-    stacks = {}
+    # stacks are views of one buffer; index i's row starts at head[i], strays go to the end
+    flat = np.zeros(int((sizes ** 2).sum()) + 1, dtype=complex)
+    stacks, offset = {}, 0
     for k in np.unique(sizes).tolist():
         index = members[starts[sizes == k][:, None] + np.arange(k)]
         row[index] = np.arange(index.shape[0])[:, None]
-        values = np.zeros((index.shape[0], k, k), dtype=complex)
-        values[:, np.arange(k), np.arange(k)] = diag[index]
-        stacks[k] = index, values
-    for old, entries in groups if stacks else ():  # no entry lands where no stack is
-        shift = None if swap is None else swap[old]
+        head[index] = offset + k * np.arange(index.size).reshape(index.shape)
+        stacks[k] = index, flat[offset:offset + k * index.size].reshape(-1, k, k)
+        offset += k * index.size
+    flat[head[members] + local[members]] = diag[members]
+    owner = np.where(size > 0, label, -1)
+    for old, entries in groups:
         step = max(1, _SLAB // max(1, old.size))
         for lo in range(0, old.shape[1], step):
             i, j = old[:, lo:lo + step, None], old[:, None, :]
             if swap is not None:
-                move = shift[:, None, :] - shift[:, lo:lo + step, None]
+                move = swap[j] - swap[i]
                 i, j = i + move, j - move
-            here = (size[i] > 0) & (label[i] == label[j])
-            i, j = np.broadcast_to(i, here.shape)[here], np.broadcast_to(j, here.shape)[here]
-            landed, k_of = entries[:, lo:lo + step][here], size[i]
-            for k, (_, values) in stacks.items():
-                at = k_of == k
-                values[row[i[at]], local[i[at]], local[j[at]]] = landed[at]
+            flat[np.where(owner[i] == label[j], head[i] + local[j], -1)] = entries[:, lo:lo + step]
     return stacks, size, row, local
 
 

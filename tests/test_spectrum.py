@@ -107,7 +107,8 @@ def test_min_pt_eigenvalue_matches_dense(spec, beta_prime, angle, seed, drawn, d
 
 
 def test_min_pt_eigenvalue_of_a_dense_array_over_several_slabs():
-    # a 256 x 256 block is scattered into its components 128 rows at a time
+    # the random dense state is one 256 x 256 block, scattered into its
+    # components 128 rows at a time; the chains are already split into paths
     spec = SystemSpec.qubits(8, 1.0)
     rng = np.random.default_rng(8)
     for state in (random_chains(rng, spec.dim), random_density_matrix(rng, spec.dim)):
@@ -166,6 +167,16 @@ def test_a_dense_array_is_solved_by_its_components(monkeypatch):
     # an array whose first row has no zero is kept as one block
     whole = random_density_matrix(np.random.default_rng(3), 16)
     assert [index.shape for index, _ in whole.groups] == [(1, 16)]
+    # with index 0 unpopulated, the other indices are one component around
+    # the busiest row, and index 0 is a population
+    unpopulated = whole.entries.copy()
+    unpopulated[0] = unpopulated[:, 0] = 0.0
+    unpopulated /= unpopulated.trace()
+    split = DensityMatrix(unpopulated)
+    assert [index.tolist() for index, _ in split.groups] == [[list(range(1, 16))]]
+    assert split.populations[0] == 0.0
+    expected = np.sort(np.linalg.eigvalsh(unpopulated))[::-1]
+    assert float(np.abs(state_eigenvalues(split) - expected).max()) <= 1e-12
 
 
 def test_spectrum_is_solved_once_per_state(monkeypatch):

@@ -83,8 +83,10 @@ def test_parts_agree_with_the_dense_matrix(drawn):
     spectrum = np.sort(np.linalg.eigvalsh(dense))[::-1]
     assert not rho.populations.flags.writeable
     assert not any(a.flags.writeable for group in rho.groups for a in group)
-    # the same state held as one dense block, as a caller would give it
-    for state in (rho, DensityMatrix(dense)):
+    # the same state given as a dense array (split into its components) and
+    # held as one dense block
+    one_block = DensityMatrix(core._single_block(dense))
+    for state in (rho, DensityMatrix(dense), one_block):
         assert float(np.abs(state_eigenvalues(state) - spectrum).max()) <= 1e-12
         np.testing.assert_array_equal(state.diagonal, dense.diagonal().real)
         for keep in range(1, spec.n + 1):
@@ -93,7 +95,7 @@ def test_parts_agree_with_the_dense_matrix(drawn):
     # both forms sum a marginal's populations in the same order
     for keep in range(1, spec.n + 1):
         np.testing.assert_array_equal(partial_trace_to(rho, spec, keep).diagonal,
-                                      partial_trace_to(DensityMatrix(dense), spec, keep).diagonal)
+                                      partial_trace_to(one_block, spec, keep).diagonal)
 
 
 @settings(max_examples=120)
@@ -107,7 +109,8 @@ def test_is_passive_agrees_with_the_dense_matrix(drawn, data):
         for index, _ in rho.groups:
             energies[index] = energies[index[:, :1]]
     expected = dense_is_passive(rho.entries, energies)
-    for state in (rho, DensityMatrix(rho.entries)):
+    one_block = DensityMatrix(core._single_block(rho.entries))
+    for state in (rho, DensityMatrix(rho.entries), one_block):
         assert is_passive(state, energies) == expected
         assert is_passive(passive_state(state, energies), energies)
 
@@ -143,11 +146,14 @@ def test_pair_rotations_agree_with_dense_conjugation(drawn, data):
     mat = unitary.materialize()
     assert float(np.abs(out.entries - mat @ rho.entries @ mat.conj().T).max()) <= 1e-12
     # the block update repeats a dense per-rotation update's arithmetic, for the
-    # state's own blocks and for the same state given as one dense block
+    # state's own blocks, for the same state given as a dense array and for it
+    # held as one dense block
     expected = dense_rotation(rho.entries, unitary)
     np.testing.assert_array_equal(out.entries, expected)
     np.testing.assert_array_equal(apply_unitary(DensityMatrix(rho.entries), unitary).entries,
                                   expected)
+    one_block = DensityMatrix(core._single_block(rho.entries))
+    np.testing.assert_array_equal(apply_unitary(one_block, unitary).entries, expected)
 
 
 @settings(max_examples=60)
@@ -259,14 +265,15 @@ def test_dense_arrays_are_sized_before_they_are_built(monkeypatch):
 def test_pair_rotation_of_a_dense_state_at_n11_stays_within_128_mb():
     spec = SystemSpec.qubits(11, 1.0)
     rotation = pair_rotation_unitary(spec, 0.4)
-    rho = DensityMatrix(apply_unitary(product_thermal_state(spec, 1.5), rotation).entries)
+    dense = apply_unitary(product_thermal_state(spec, 1.5), rotation).entries
+    rho = DensityMatrix(core._single_block(dense))
     tracemalloc.start()
     try:
         out = apply_unitary(rho, rotation)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the caller's array is 64 MB
+    # the dense block itself is 64 MB
     assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
     # two rotations by 0.4 are one by 0.8: the bias law z = cos(1.6) z'
     bias_prime = measure_bias(product_thermal_state(spec, 1.5), spec)
