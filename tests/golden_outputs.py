@@ -22,6 +22,11 @@ COMMANDS = {
                                 "--total-entropy", "2.0"],
     "sweep_protocol.csv": ["sweep", "--family", "protocol", "--n", "2:14", "--beta-prime",
                            "1.0", "--target-bias", "-0.3", "--target-bias", "0.1"],
+    "sweep_separable_d3.csv": ["sweep", "--family", "separable", "--d", "3",
+                               "--energy-ladder", "0,1,1.7", "--n", "2:6"],
+    "sweep_entangled_d3_ppt.csv": ["sweep", "--family", "entangled", "--d", "3",
+                                   "--energy-ladder", "0,1,2.5", "--n", "2:6", "--ppt"],
+    "figure1_beta30.csv": ["figure1", "--beta", "30", "--n-max", "20"],
     "protocol_rotate_n4.txt": ["protocol", "--kind", "rotate", "--n", "4", "--beta-prime",
                                "2.0", "--target-bias", "0.3"],
     "protocol_invert_n12.txt": ["protocol", "--kind", "invert", "--n", "12", "--beta-prime",
