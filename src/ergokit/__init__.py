@@ -17,7 +17,6 @@ from .analysis import (
     min_pt_eigenvalue,
     mutual_information_multipartite,
     npt_witness_half_split,
-    partial_transpose,
 )
 from .core import (
     DensityMatrix,

@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DensityMatrix, SystemSpec, _check_bytes, _check_dense_size,
-                   _component_blocks, _component_labels, _parts_eigenvalues, partial_trace_to,
-                   von_neumann_entropy)
-from .errors import DomainError, ShapeError, UnsupportedError
+from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
+                   _component_blocks, _component_labels, _marginals, _parts_eigenvalues,
+                   _spectrum_entropy, _stack_eigenvalues, von_neumann_entropy)
+from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
 from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
 
 NPT_EIGENVALUE_TOL = -1e-10
@@ -67,22 +67,6 @@ def _check_split(rho: DensityMatrix, spec: SystemSpec, part: Bipartition):
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
     if part.n != spec.n:
         raise ShapeError(f"bipartition over {part.n} subsystems, spec has {spec.n}")
-
-
-def partial_transpose(rho: DensityMatrix, spec: SystemSpec,
-                      part: Bipartition) -> np.ndarray:
-    """Transpose the side_a subsystems; returns a dense Hermitian matrix.
-
-    Raises CapacityError before building a matrix over core.DENSE_BYTES_MAX.
-    """
-    _check_split(rho, spec, part)
-    _check_dense_size(spec.dim)
-    n, d = spec.n, spec.d
-    tensor = rho.entries.reshape([d] * (2 * n))
-    axes = list(range(2 * n))
-    for sub in part.side_a:
-        axes[sub - 1], axes[n + sub - 1] = axes[n + sub - 1], axes[sub - 1]
-    return tensor.transpose(axes).reshape(spec.dim, spec.dim).copy()
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
@@ -178,11 +162,18 @@ def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:
 
 
 def mutual_information_multipartite(rho: DensityMatrix, spec: SystemSpec) -> float:
-    """Sum of marginal entropies minus the global entropy."""
-    marginal_total = sum(
-        von_neumann_entropy(partial_trace_to(rho, spec, k))
-        for k in range(1, spec.n + 1)
-    )
+    """Sum of marginal entropies minus the global entropy.
+
+    Every single-site marginal comes from one walk over the parts and one
+    stacked eigensolve; a marginal eigenvalue below -1e-10 raises
+    ValidityError, as it does for any state.
+    """
+    spectra = np.sort(_stack_eigenvalues(_marginals(rho, spec, range(1, spec.n + 1))))
+    marginal_total = 0
+    for lam in spectra[:, ::-1]:
+        if lam[-1] < -PSD_TOL:
+            raise ValidityError(f"state has eigenvalue {lam[-1]:.3e} below -{PSD_TOL}")
+        marginal_total += _spectrum_entropy(lam)
     return float(marginal_total - von_neumann_entropy(rho))
 
 

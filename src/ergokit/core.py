@@ -399,29 +399,42 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
 
 
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
-    """Reduced state of one subsystem (1-based index), tracing out the rest.
+    """Reduced state of one subsystem (1-based index), tracing out the rest."""
+    if not 1 <= keep <= spec.n:
+        raise DomainError(f"subsystem index {keep} outside [1, {spec.n}]")
+    return DensityMatrix(_single_block(_marginals(rho, spec, [keep])[0]))
 
-    The diagonal sums the full diagonal pairwise; an off-diagonal
-    entry sums the block entries whose two indices differ only in the kept
-    digit.
+
+def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
+    """Reduced states of the given subsystems (1-based), as a (len(sites), d, d) stack.
+
+    Each diagonal sums the full diagonal pairwise.  An off-diagonal entry
+    sums, in row-major order, the block entries whose two indices differ
+    only in the kept digit; each block group is walked once for as many
+    sites as fit in _SLAB entries.
     """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
-    if not 1 <= keep <= spec.n:
-        raise DomainError(f"subsystem index {keep} outside [1, {spec.n}]")
     d = spec.d
-    left = d ** (keep - 1)
-    right = d ** (spec.n - keep)
-    out = np.zeros((d, d), dtype=complex)
-    by_digit = rho.diagonal.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
-    np.fill_diagonal(out, by_digit.sum(axis=1))
+    rights = d ** (spec.n - np.asarray(sites, dtype=np.int64))
+    out = np.zeros((rights.size, d, d), dtype=complex)
+    diag = rho.diagonal
+    for marginal, right in zip(out, rights.tolist()):
+        by_digit = diag.reshape(-1, d, right).transpose(1, 0, 2).reshape(d, -1)
+        np.fill_diagonal(marginal, by_digit.sum(axis=1))
+    flat = out.reshape(-1)
     for index, values in rho.groups:
-        digit = index // right % d
-        rest = index - digit * right
-        link = (rest[:, :, None] == rest[:, None, :]) & (digit[:, :, None] != digit[:, None, :])
-        rows, cols = np.broadcast_arrays(digit[:, :, None], digit[:, None, :])
-        np.add.at(out, (rows[link], cols[link]), values[link])
-    return DensityMatrix(_single_block(out))
+        step = max(1, _SLAB // max(1, values.size))
+        for lo in range(0, rights.size, step):
+            right = rights[lo:lo + step, None, None]
+            digit = index // right % d
+            rest = index - digit * right
+            rows, cols = digit[..., :, None], digit[..., None, :]
+            link = (rest[..., :, None] == rest[..., None, :]) & (rows != cols)
+            site = np.arange(lo, lo + right.shape[0])[:, None, None, None]
+            np.add.at(flat, ((site * d + rows) * d + cols)[link],
+                      np.broadcast_to(values, link.shape)[link])
+    return out
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
@@ -483,8 +496,13 @@ def _component_blocks(label: np.ndarray, member: np.ndarray, diag: np.ndarray, g
     if not members.size:
         return {}, size, row, local
     members = members[np.argsort(label[members], kind="stable")]
-    starts = np.flatnonzero(np.diff(label[members], prepend=-1))
-    sizes = np.diff(starts, append=members.size)
+    ordered = label[members]
+    # each component's first member and size, without np.diff's prepend and
+    # append, which cost about 15 us on a few entries
+    cut = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    bounds = np.zeros(cut.size + 2, dtype=np.int64)
+    bounds[1:-1], bounds[-1] = cut, members.size
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     size[members] = np.repeat(sizes, sizes)
     local[members] = np.arange(members.size) - np.repeat(starts, sizes)
     # stacks are views of one buffer; index i's row starts at head[i], strays go to the end
@@ -538,7 +556,11 @@ def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam * ln lam) in nats, with 0 ln 0 = 0."""
-    lam = state_eigenvalues(rho)
+    return _spectrum_entropy(state_eigenvalues(rho))
+
+
+def _spectrum_entropy(lam: np.ndarray) -> float:
+    """-sum(lam * ln lam) over the positive eigenvalues, in the order given."""
     nz = lam[lam > 0.0]
     return float(-(nz * np.log(nz)).sum() + 0.0)
 

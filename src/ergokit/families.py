@@ -150,16 +150,16 @@ def smallest_shell_for_entropy(n: int, entropy: float) -> int:
     )
 
 
+def _xlnx(x: float) -> float:
+    return 0.0 if x <= 0.0 else x * math.log(x)
+
+
 def _shell_family_entropy(gamma: float, p: float, n: int, shell: int,
                           ln_shell_size: float) -> float:
     """Global entropy of the three-weight diagonal family at shell weight gamma."""
     top = p - gamma * shell / n
     ground = 1.0 - p - gamma * (n - shell) / n
-
-    def xlnx(x: float) -> float:
-        return 0.0 if x <= 0.0 else x * math.log(x)
-
-    return -(xlnx(ground) + xlnx(top) + xlnx(gamma)) + gamma * ln_shell_size
+    return -(_xlnx(ground) + _xlnx(top) + _xlnx(gamma)) + gamma * ln_shell_size
 
 
 def diagonal_state_at_entropy(

@@ -22,12 +22,12 @@ from ergokit import (
     mutual_information_multipartite,
     npt_witness_half_split,
     pair_rotation_unitary,
-    partial_transpose,
     product_thermal_state,
     separable_optimal_state,
     thermal_entropy,
     thermal_params,
 )
+from dense_oracle import partial_transpose
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 

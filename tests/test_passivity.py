@@ -32,6 +32,7 @@ from ergokit import passivity
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.verify import random_density_matrix
+from decimal_oracle import thermal
 from strategies import specs
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -362,6 +363,25 @@ def ladder_with_gaps(gaps) -> SystemSpec:
 LADDERS = st.integers(2, 6).flatmap(
     lambda d: st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 3.0),
                        min_size=d - 1, max_size=d - 1)).map(ladder_with_gaps)
+
+
+@settings(max_examples=300)
+@given(spec=LADDERS, beta=st.floats(0.0, 700.0))
+@example(spec=ladder_with_gaps((1.0,)), beta=0.0)
+@example(spec=ladder_with_gaps((1.0, 0.0)), beta=30.0)
+@example(spec=ladder_with_gaps((0.0, 0.0, 1.0, 2.0)), beta=700.0)
+@example(spec=ladder_with_gaps((1.0, 1.0, 1.0, 1.0, 1.0)), beta=700.0)
+def test_thermal_params_match_the_decimal_oracle(spec, beta):
+    # thermal_params' stated bound: 2^-50 (1 + beta E_max) relative, and
+    # four subnormal steps for a value below the smallest normal float
+    params, exact = thermal_params(spec, beta), thermal(spec.local_energies, beta)
+    rtol = 2.0 ** -50 * (1.0 + beta * spec.local_energies[-1])
+    pairs = [(params.partition_function, exact.partition_function),
+             (params.mean_energy, exact.mean_energy),
+             (params.entropy, exact.entropy),
+             *zip(params.populations, exact.populations)]
+    for value, true in pairs:
+        assert abs(value - float(true)) <= rtol * float(true) + 2.0 ** -1072, (value, true)
 
 
 @settings(max_examples=150)

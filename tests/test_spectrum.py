@@ -20,7 +20,6 @@ from ergokit import (
     level_inversion_unitary,
     min_pt_eigenvalue,
     pair_rotation_unitary,
-    partial_transpose,
     passive_state,
     product_thermal_state,
     separable_optimal_state,
@@ -29,6 +28,7 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit.verify import random_density_matrix
+from dense_oracle import partial_transpose
 from strategies import BETAS, specs, structured_states
 
 
