@@ -169,7 +169,7 @@ def mutual_information_multipartite(rho: DensityMatrix, spec: SystemSpec) -> flo
     ValidityError, as it does for any state.
     """
     spectra = np.sort(_stack_eigenvalues(_marginals(rho, spec, range(1, spec.n + 1))))
-    marginal_total = 0
+    marginal_total = 0.0
     for lam in spectra[:, ::-1]:
         if lam[-1] < -PSD_TOL:
             raise ValidityError(f"state has eigenvalue {lam[-1]:.3e} below -{PSD_TOL}")
