@@ -33,6 +33,8 @@ COMMANDS = {
                                 "1.0", "--target-bias", "-0.4"],
     "protocol_rotate_n11.txt": ["protocol", "--kind", "rotate", "--n", "11", "--beta-prime",
                                 "1.0", "--target-bias", "-0.3"],
+    "sweep_fixed_entropy_beta2.csv": ["sweep", "--family", "fixed-entropy", "--n", "2:10",
+                                      "--beta", "2", "--total-entropy", "1.799"],
 }
 
 
