@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
                    _component_blocks, _component_labels, _marginals, _parts_eigenvalues,
-                   _spectrum_entropy, _stack_eigenvalues, von_neumann_entropy)
+                   _spectrum_entropy, _stack_eigenvalues, _subsystem_index,
+                   von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
 from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
 
@@ -34,12 +35,10 @@ class Bipartition:
     n: int
 
     def __post_init__(self):
-        side = frozenset(int(i) for i in self.side_a)
+        side = frozenset(_subsystem_index(i, self.n) for i in self.side_a)
         object.__setattr__(self, "side_a", side)
         if not side or len(side) >= self.n:
             raise DomainError("both sides of a bipartition must be nonempty")
-        if any(i < 1 or i > self.n for i in side):
-            raise DomainError(f"subsystem indices must lie in [1, {self.n}]")
 
     @property
     def side_b(self) -> frozenset[int]:

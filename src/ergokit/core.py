@@ -26,6 +26,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,6 +146,19 @@ def _check_dense_size(dim: int):
 def _check_vector_size(dim: int):
     """Raise CapacityError before state-sized vectors, 64 bytes an index, over DENSE_BYTES_MAX."""
     _check_bytes(64 * dim, f"a state of dimension {dim}")
+
+
+def _subsystem_index(index, n: int) -> int:
+    """index as a 1-based subsystem index of n; DomainError for a bool or a non-integer."""
+    try:
+        site = operator.index(index)  # int or a NumPy integer, not a float or a string
+    except TypeError:
+        site = None
+    if site is None or isinstance(index, bool):
+        raise DomainError(f"subsystem index {index!r} is not an integer")
+    if not 1 <= site <= n:
+        raise DomainError(f"subsystem index {site} outside [1, {n}]")
+    return site
 
 
 def _hermiticity_defect(arr: np.ndarray) -> float:
@@ -400,8 +414,7 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
 
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
     """Reduced state of one subsystem (1-based index), tracing out the rest."""
-    if not 1 <= keep <= spec.n:
-        raise DomainError(f"subsystem index {keep} outside [1, {spec.n}]")
+    keep = _subsystem_index(keep, spec.n)
     return DensityMatrix(_single_block(_marginals(rho, spec, [keep])[0]))
 
 

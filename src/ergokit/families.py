@@ -154,12 +154,21 @@ def _xlnx(x: float) -> float:
     return 0.0 if x <= 0.0 else x * math.log(x)
 
 
-def _shell_family_entropy(gamma: float, p: float, n: int, shell: int,
-                          ln_shell_size: float) -> float:
-    """Global entropy of the three-weight diagonal family at shell weight gamma."""
+def _xlnx_array(x: np.ndarray) -> np.ndarray:
+    positive = x > 0.0
+    return np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0)
+
+
+def _shell_family_entropy(gamma, p: float, n: int, shell: int, ln_shell_size: float,
+                          xlnx=_xlnx):
+    """Global entropy of the three-weight diagonal family at shell weight gamma.
+
+    With xlnx=_xlnx_array, gamma may be an array; the arithmetic is the
+    same, but np.log may differ from math.log in the last bit.
+    """
     top = p - gamma * shell / n
     ground = 1.0 - p - gamma * (n - shell) / n
-    return -(_xlnx(ground) + _xlnx(top) + _xlnx(gamma)) + gamma * ln_shell_size
+    return -(xlnx(ground) + xlnx(top) + xlnx(gamma)) + gamma * ln_shell_size
 
 
 def diagonal_state_at_entropy(
@@ -167,12 +176,17 @@ def diagonal_state_at_entropy(
 ) -> tuple[DensityMatrix, DiagonalFamilyParams]:
     """Diagonal locally thermal qubit state with the prescribed global entropy.
 
-    Solves f(gamma) = total_entropy by a forward sign-change scan (step
-    1e-3) followed by bisection; f is only guaranteed continuous, not
-    monotone, so the first crossing is taken.
+    On the chosen shell, f(gamma) is concave: every weight is affine in
+    gamma, -x ln x is concave and gamma ln C(n, D) is linear.  The solve
+    takes the first crossing of f(gamma) = total_entropy on the grid
+    gamma_k = min(k GAMMA_SCAN_STEP, hi): one NumPy pass evaluates f over
+    the whole grid and proposes the few grid points where the crossing can
+    be, then the scalar f (math.log) decides at those points and bisects
+    inside the bracket.  The answer is the one a scalar scan of the grid
+    gives, to the bit.
 
     Raises InfeasibilityError when no shell weight in the physical range
-    achieves the target, reporting the range f covered.
+    achieves the target, reporting the range f covered on the grid.
     """
     if spec.d != 2:
         raise UnsupportedError("the diagonal family is implemented for qubits only")
@@ -198,14 +212,17 @@ def diagonal_state_at_entropy(
     def resid(g: float) -> float:
         return _shell_family_entropy(g, p, n, shell, ln_shell_size) - s
 
-    gamma = _first_crossing(resid, hi)
+    multiples = np.arange(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1) * GAMMA_SCAN_STEP
+    grid = np.minimum(multiples, hi)
+    approx = _shell_family_entropy(grid, p, n, shell, ln_shell_size, _xlnx_array) - s
+    gamma = _first_crossing(resid, grid, approx)
     if gamma is None:
-        grid = np.arange(0.0, hi + GAMMA_SCAN_STEP, GAMMA_SCAN_STEP)
-        grid = grid[grid <= hi]
-        values = [resid(g) + s for g in grid]
+        # the reported range is over the multiples of the step, without hi itself
+        below = multiples <= hi
+        low, high = _scalar_extremes(resid, grid[below], approx[below])
         raise InfeasibilityError(
             f"no shell weight in [0, {hi!r}] reaches entropy {s}; "
-            f"family covers [{min(values)!r}, {max(values)!r}]"
+            f"family covers [{low + s!r}, {high + s!r}]"
         )
 
     top = p - gamma * shell / n
@@ -224,30 +241,55 @@ def diagonal_state_at_entropy(
     return DensityMatrix.from_diagonal(diag), params
 
 
-def _first_crossing(resid, hi: float):
-    """First sign change of resid on [0, hi] by forward scan, then bisection."""
-    prev_g = 0.0
-    prev_r = resid(0.0)
+# bounds |approx - resid| on the grid: the two logs differ by a few ulp on
+# three terms of size at most 1/e, a few 1e-16, plus rounding of the sum
+_ARRAY_SLACK = 1e-13
+
+
+def _first_crossing(resid, grid: np.ndarray, approx: np.ndarray):
+    """First grid point where resid reaches zero or changes sign, refined by bisection.
+
+    approx is resid over grid from the array pass.  A scalar scan stops at
+    the first point where |resid| <= GAMMA_BISECTION_TOL, which makes
+    |approx| at most the tolerance plus _ARRAY_SLACK, or where resid
+    changes sign; at points that miss the tolerance |resid| is far above
+    the slack, so approx changes sign there too.  Only those candidates
+    are evaluated with resid, in order.
+    """
     # a target within rounding of the f(0) entropy floor is the gamma = 0 state
-    if abs(prev_r) <= 1e-9:
+    if abs(resid(0.0)) <= 1e-9:
         return 0.0
-    steps = int(math.ceil(hi / GAMMA_SCAN_STEP))
-    for k in range(1, steps + 1):
-        g = min(k * GAMMA_SCAN_STEP, hi)
-        r = resid(g)
+    near = np.abs(approx) <= GAMMA_BISECTION_TOL + _ARRAY_SLACK
+    negative = approx < 0.0
+    candidates = near[1:] | (negative[1:] != negative[:-1])
+    for k in np.flatnonzero(candidates) + 1:
+        prev_g, g = float(grid[k - 1]), float(grid[k])
+        prev_r, r = resid(prev_g), resid(g)
         if abs(r) <= GAMMA_BISECTION_TOL:
             return g
         if (prev_r < 0.0) != (r < 0.0):
-            lo, lo_r, up = prev_g, prev_r, g
-            for _ in range(200):
-                mid = 0.5 * (lo + up)
-                mid_r = resid(mid)
-                if abs(mid_r) <= GAMMA_BISECTION_TOL:
-                    return mid
-                if (mid_r < 0.0) == (lo_r < 0.0):
-                    lo, lo_r = mid, mid_r
-                else:
-                    up = mid
-            return 0.5 * (lo + up)
-        prev_g, prev_r = g, r
+            return _bisect(resid, prev_g, prev_r, g)
     return None
+
+
+def _bisect(resid, lo: float, lo_r: float, up: float) -> float:
+    """Root of resid in the bracket [lo, up], where resid(lo) = lo_r."""
+    for _ in range(200):
+        mid = 0.5 * (lo + up)
+        mid_r = resid(mid)
+        if abs(mid_r) <= GAMMA_BISECTION_TOL:
+            return mid
+        if (mid_r < 0.0) == (lo_r < 0.0):
+            lo, lo_r = mid, mid_r
+        else:
+            up = mid
+    return 0.5 * (lo + up)
+
+
+def _scalar_extremes(resid, grid: np.ndarray, approx: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest resid over grid, evaluated only near the extremes of approx."""
+    def resid_at(mask):
+        return [resid(float(g)) for g in grid[mask]]
+
+    return (min(resid_at(approx <= approx.min() + 2.0 * _ARRAY_SLACK)),
+            max(resid_at(approx >= approx.max() - 2.0 * _ARRAY_SLACK)))

@@ -152,6 +152,19 @@ def check_thermal_products_passive(rng):
     assert is_passive(product_thermal_state(spec), build_hamiltonian(spec))
 
 
+def _permutation_table(m: int) -> np.ndarray:
+    """Every permutation of range(m) as a row, in itertools.permutations order."""
+    # built in int8, which a table of m! rows never outgrows, then widened
+    table = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, m + 1):
+        # lexicographic: each leading value in turn, then the smaller table
+        # relabelled onto the values left over
+        first = np.repeat(np.arange(size, dtype=np.int8), len(table))[:, None]
+        rest = np.tile(table, (size, 1))
+        table = np.hstack([first, rest + (rest >= first)])
+    return table.astype(int)
+
+
 def check_permutation_oracle(rng):
     cases = [
         SystemSpec.qubits(2, 0.7),
@@ -163,7 +176,7 @@ def check_permutation_oracle(rng):
         states = [product_thermal_diagonal(spec)]
         draws = 3 if spec.dim == 8 else 10
         states.extend(rng.dirichlet(np.ones(spec.dim)) for _ in range(draws))
-        perms = np.array(list(itertools.permutations(range(spec.dim))))
+        perms = _permutation_table(spec.dim)
         for pops in states:
             pops = np.asarray(pops, dtype=float)
             state = DensityMatrix.from_diagonal(pops)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergokit import (
+    Bipartition,
     CapacityError,
     DensityMatrix,
     DomainError,
@@ -21,6 +22,7 @@ from ergokit import (
     dicke_thermal_mixture,
     entangled_pure_state,
     hamming_weights,
+    measure_bias,
     partial_trace_to,
     state_eigenvalues,
     product_thermal_diagonal,
@@ -176,6 +178,27 @@ def test_partial_trace_shape_and_domain_errors():
         partial_trace_to(bell_state(), spec, 1)
     with pytest.raises(DomainError):
         partial_trace_to(entangled_pure_state(spec), spec, 4)
+
+
+@pytest.mark.parametrize("site", [1.5, 2.0, "1", True, np.bool_(True), None])
+def test_subsystem_indices_must_be_integers(site):
+    spec = SystemSpec.qubits(3, 1.0)
+    rho = product_thermal_state(spec)
+    with pytest.raises(DomainError, match="not an integer"):
+        partial_trace_to(rho, spec, site)
+    with pytest.raises(DomainError, match="not an integer"):
+        measure_bias(rho, spec, site)
+    with pytest.raises(DomainError, match="not an integer"):
+        Bipartition(side_a=frozenset({site}), n=3)
+
+
+def test_numpy_integers_are_subsystem_indices():
+    spec = SystemSpec.qubits(3, 1.0)
+    rho = product_thermal_state(spec)
+    assert np.array_equal(partial_trace_to(rho, spec, np.int64(2)).entries,
+                          partial_trace_to(rho, spec, 2).entries)
+    assert measure_bias(rho, spec, np.int32(3)) == measure_bias(rho, spec, 3)
+    assert Bipartition(side_a=frozenset({np.int64(1)}), n=3).side_a == frozenset({1})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """State-family constructors: marginals, spectra, entropies, feasibility."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import scan_oracle
 from ergokit import (
     CapacityError,
     DensityMatrix,
     DomainError,
+    ErgokitError,
     InfeasibilityError,
     SystemSpec,
     UnsupportedError,
@@ -30,7 +34,7 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
-from ergokit import cli, core
+from ergokit import cli, core, families
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -291,6 +295,103 @@ def test_diagonal_family_rejects_qudits():
     spec = SystemSpec(n=4, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
     with pytest.raises(UnsupportedError):
         diagonal_state_at_entropy(spec, 1.0)
+
+
+def _solved(solve, spec, total):
+    """The chosen weights as exact bits, or the error's type and message."""
+    try:
+        params = solve(spec, total)
+    except ErgokitError as err:
+        return type(err), str(err)
+    weights = (params.ground_weight, params.top_weight, params.shell_weight)
+    return [float(w).hex() for w in weights], params.shell_excitations
+
+
+# offsets from a scanned value of f, around GAMMA_BISECTION_TOL and the array's slack
+GRID_OFFSETS = [0.0, 1e-14, -1e-14, 1e-13, -1e-13, 1e-12, -1e-12, 1.1e-12, -1.1e-12, 1e-11]
+
+
+def _skewed_xlnx(error: float):
+    """families._xlnx_array moved by +-error, alternating along the grid."""
+    exact = families._xlnx_array
+
+    def xlnx(x):
+        return exact(x) + error * (-1.0) ** np.arange(x.size)
+
+    return xlnx
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 14), beta=st.sampled_from([0.0, 30.0]) | st.floats(0.0, 30.0),
+       where=st.floats(0.0, 1.0),
+       on_grid=st.none() | st.tuples(st.floats(0.0, 1.0), st.sampled_from(GRID_OFFSETS)),
+       array_error=st.sampled_from([0.0, 2e-14, -2e-14]))
+@example(n=2, beta=0.0, where=0.5, on_grid=None, array_error=0.0)
+@example(n=14, beta=30.0, where=0.5, on_grid=None, array_error=0.0)
+@example(n=7, beta=30.0, where=0.0, on_grid=None, array_error=0.0)
+@example(n=5, beta=2.0, where=0.0, on_grid=(0.5, 0.0), array_error=0.0)
+@example(n=8, beta=1.0, where=0.4, on_grid=(1.0, 0.0), array_error=0.0)
+def test_fixed_entropy_solve_equals_the_scalar_scan_bit_for_bit(n, beta, where, on_grid,
+                                                                 array_error):
+    # array_error stands in for a NumPy log that differs from math.log by
+    # more than a few ulp; the scalar f still decides every answer
+    spec = SystemSpec.qubits(n, beta)
+    local = thermal_entropy(spec)
+    low, high = local - 1e-10, n * local + 0.5
+    total = low + where * (high - low)
+    if on_grid is not None:
+        # a target at a scanned value of f, where the array and math.log may disagree
+        fraction, offset = on_grid
+        try:
+            shell = smallest_shell_for_entropy(n, max(total, 0.0))
+        except InfeasibilityError:
+            shell = n // 2
+        p = thermal_params(spec).populations[1]
+        hi = min(1.0, n * p / shell if shell else 1.0, n * (1.0 - p) / (n - shell))
+        steps = math.ceil(hi / families.GAMMA_SCAN_STEP)
+        g = min(round(fraction * steps) * families.GAMMA_SCAN_STEP, hi)
+        total = families._shell_family_entropy(
+            g, p, n, shell, math.log(math.comb(n, shell))) + offset
+    expected = _solved(scan_oracle.diagonal_family_params, spec, total)
+    with mock.patch.object(families, "_xlnx_array", _skewed_xlnx(array_error)):
+        actual = _solved(lambda *a: diagonal_state_at_entropy(*a)[1], spec, total)
+    assert actual == expected
+
+
+def test_refused_range_takes_the_scalar_extremes_near_the_array_extremes():
+    resid = {0.0: 1.0, 1.0: 2.0, 2.0: 2.0 + 4e-16, 3.0: -1e-15}.__getitem__
+    grid = np.array([0.0, 1.0, 2.0, 3.0])
+    approx = np.array([1.0, 2.0 + 8e-16, 2.0, 0.0])
+    assert families._scalar_extremes(resid, grid, approx) == (-1e-15, 2.0 + 4e-16)
+
+
+def test_fixed_entropy_solve_needs_few_scalar_evaluations(monkeypatch):
+    calls = []
+    scalar = families._shell_family_entropy
+
+    def counted(gamma, *args):
+        if not isinstance(gamma, np.ndarray):
+            calls.append(gamma)
+        return scalar(gamma, *args)
+
+    # the reference imported its own _shell_family_entropy, so only the package is counted
+    monkeypatch.setattr(families, "_shell_family_entropy", counted)
+    counts = []
+    for n in range(2, 15):
+        for beta in (0.0, 0.3, 1.0, 2.0, 5.0, 30.0):
+            spec = SystemSpec.qubits(n, beta)
+            local = thermal_entropy(spec)
+            for fraction in np.linspace(0.0, 1.0, 21):
+                total = local + fraction * (n - 1) * local
+                try:
+                    scan_oracle.diagonal_family_params(spec, total)
+                except InfeasibilityError:
+                    continue
+                del calls[:]
+                diagonal_state_at_entropy(spec, total)
+                counts.append(len(calls))
+    assert len(counts) > 500, len(counts)
+    assert max(counts) <= 64, max(counts)
 
 
 # ---------------------------------------------------------------------------

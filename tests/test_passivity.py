@@ -31,7 +31,7 @@ from ergokit import (
 from ergokit import passivity
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
-from ergokit.verify import random_density_matrix
+from ergokit.verify import _permutation_table, random_density_matrix
 from decimal_oracle import thermal
 from strategies import specs
 
@@ -255,6 +255,11 @@ def test_is_passive_and_ergotropy_reject_non_finite_energies():
 @functools.lru_cache(maxsize=None)
 def _permutations(dim: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(dim))))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_verify_permutation_table_is_in_itertools_order(m):
+    assert np.array_equal(_permutation_table(m), _permutations(m))
 
 
 @settings(max_examples=200)
