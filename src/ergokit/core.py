@@ -8,8 +8,9 @@ A state is stored as populations plus coherence blocks: the diagonal of
 every basis index outside a block, and dense Hermitian blocks on
 disjoint index sets.  The diagonal, entangled and pair-rotated states
 hold O(dim) numbers this way and the Dicke mixture one block per
-excitation shell, so building, rotating, tracing and solving the
-package's states never touches a dim x dim array.  A caller's dense array
+excitation shell, a single number broadcast over the block, so building,
+rotating, tracing and solving the package's states never touches a
+dim x dim array.  A caller's dense array
 is split into the connected components of its nonzero entries, one block
 each, and takes the same paths as any other state.  The spectrum is solved
 block by block and cached on the state, so each state is solved once.
@@ -248,11 +249,14 @@ class DensityMatrix:
     populations is the diagonal of every index outside a block (zero at
     block indices).  groups is a tuple of (index, values) pairs: index has
     shape (m, k) with ascending rows, values has shape (m, k, k), and all
-    blocks are disjoint.  A dense array given by a caller is copied into one
-    block per connected component of its nonzero entries, and its unlinked
-    indices into populations.  entries is the dense matrix, assembled from
-    the parts on each access (read-only); it raises CapacityError over
-    DENSE_BYTES_MAX.
+    blocks are disjoint.  values may be a read-only broadcast view (the
+    Dicke mixture stores one number per shell block), so no reader writes
+    into it, and none copies a group whole, except to build a new state or
+    to split a stack of real and complex blocks for the spectrum.  A dense
+    array given by a caller is copied into one block per connected
+    component of its nonzero entries, and its unlinked indices into
+    populations.  entries is the dense matrix, assembled from the parts on
+    each access (read-only); it raises CapacityError over DENSE_BYTES_MAX.
 
     Finite entries, Hermiticity and trace are verified at construction;
     positivity is verified wherever eigenvalues are computed (eigenvalues
@@ -450,10 +454,10 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
     return out
 
 
-def _eigvalsh(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of Hermitian blocks, by the real solver if all are real."""
+def _eigvalsh(stack: np.ndarray, complex_: bool) -> np.ndarray:
+    """Eigenvalues of Hermitian blocks, by the real solver unless complex_."""
     try:
-        return np.linalg.eigvalsh(stack if stack.imag.any() else stack.real)
+        return np.linalg.eigvalsh(stack if complex_ else stack.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -462,14 +466,15 @@ def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues of each block of an (m, k, k) stack, as (m, k).
 
     Real blocks take the real solver, the others one complex solve; a
-    stack of one kind is solved as it is, without a copy.
+    stack of one kind is solved as it is, without a copy.  The imaginary
+    parts are read once.
     """
     complex_ = stack.imag.any(axis=(1, 2))
     if complex_.all() or not complex_.any():
-        return _eigvalsh(stack)
+        return _eigvalsh(stack, bool(complex_.any()))
     out = np.empty(stack.shape[:2])
-    out[~complex_] = _eigvalsh(stack[~complex_])
-    out[complex_] = _eigvalsh(stack[complex_])
+    out[~complex_] = _eigvalsh(stack[~complex_], False)
+    out[complex_] = _eigvalsh(stack[complex_], True)
     return out
 
 

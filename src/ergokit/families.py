@@ -111,9 +111,13 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
 
     The weight on the k-excitation Dicke state is C(n,k) p^k (1-p)^(n-k),
     so the diagonal matches tau_beta^(x n) while each degenerate shell is
-    maximally coherent.  Rank is n + 1.  The shell blocks hold
-    sum_k C(n, k)^2 = C(2n, n) complex entries; raises CapacityError before
-    building them over core.DENSE_BYTES_MAX.
+    maximally coherent.  Rank is n + 1.  Each shell block holds one number,
+    stored once and broadcast to its C(n, k) x C(n, k) block as a read-only
+    view: n + 1 stored values for sum_k C(n, k)^2 = C(2n, n) logical
+    entries.  The guard on those entries stays, because entries, the
+    partial transpose and pair rotations expand the blocks, and the
+    spectrum copies each block once and takes O(C(n, k)^3) time: raises
+    CapacityError when 16 C(2n, n) bytes exceed core.DENSE_BYTES_MAX.
     """
     if spec.d != 2:
         raise UnsupportedError("the Dicke mixture is implemented for qubits only")
@@ -127,9 +131,10 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
         shells.setdefault(math.comb(n, k), []).append((dicke_index_set(n, k), amp * amp))
     groups = []
     for size, same in shells.items():
+        # complex, since .imag of a real broadcast view allocates a full zero array
         weights = np.array([w for _, w in same], dtype=complex)
         groups.append((np.stack([index for index, _ in same]),
-                       np.repeat(weights, size * size).reshape(-1, size, size)))
+                       np.broadcast_to(weights[:, None, None], (weights.size, size, size))))
     return DensityMatrix(_Parts(np.zeros(spec.dim), groups))
 
 
@@ -199,7 +204,8 @@ def diagonal_state_at_entropy(
         raise DomainError(
             f"global entropy {s} below the locally thermal minimum {s_local!r}"
         )
-    shell = smallest_shell_for_entropy(n, s)
+    # a target within the tolerance below a zero minimum is the S = 0 state
+    shell = smallest_shell_for_entropy(n, max(s, 0.0))
     shell_size = math.comb(n, shell)
     ln_shell_size = math.log(shell_size)
 

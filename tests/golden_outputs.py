@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
+import os
 from pathlib import Path
+
+import numpy as np
 
 from ergokit import cli
 
@@ -38,9 +43,41 @@ COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin OpenBLAS to one thread, then restore its thread count.
+
+    A cell that rounds an exact zero depends on how OpenBLAS splits its
+    work across threads, so the outputs are made, and compared, with one.
+    Acts on the scipy-openblas build NumPy ships (perfbench/run.py reads
+    the thread count from the same library); with another BLAS it does
+    nothing.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+            before = get()
+            set_(1)
+            try:
+                yield
+            finally:
+                set_(before)
+            return
+    yield
+
+
 def run_command(name: str, path: Path):
-    """Run the command of golden file `name` through cli.main, its stdout into path."""
-    with open(path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+    """Run the command of golden file `name` through cli.main, its stdout into path.
+
+    OpenBLAS runs on one thread meanwhile, so the bytes do not depend on
+    the machine's thread count.
+    """
+    with open(path, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out), \
+            one_blas_thread():
         code = cli.main(COMMANDS[name])
     if code != 0:
         raise RuntimeError(f"{' '.join(COMMANDS[name])} exited {code}")

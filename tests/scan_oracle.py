@@ -29,7 +29,7 @@ def diagonal_family_params(spec: SystemSpec, total_entropy: float) -> DiagonalFa
         raise DomainError(
             f"global entropy {s} below the locally thermal minimum {s_local!r}"
         )
-    shell = smallest_shell_for_entropy(n, s)
+    shell = smallest_shell_for_entropy(n, max(s, 0.0))
     ln_shell_size = math.log(math.comb(n, shell))
     hi = 1.0
     if shell > 0:

@@ -1,6 +1,8 @@
 """State-family constructors: marginals, spectra, entropies, feasibility."""
 
 import math
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import scan_oracle
 from ergokit import (
+    Bipartition,
     CapacityError,
     DensityMatrix,
     DomainError,
@@ -16,6 +19,7 @@ from ergokit import (
     InfeasibilityError,
     SystemSpec,
     UnsupportedError,
+    apply_unitary,
     build_hamiltonian,
     diagonal_state_at_entropy,
     dicke_index_set,
@@ -23,7 +27,13 @@ from ergokit import (
     entangled_pure_state,
     ergotropy,
     gibbs_weighted_superposition,
+    is_passive,
+    level_inversion_unitary,
+    min_pt_eigenvalue,
+    mutual_information_multipartite,
+    pair_rotation_unitary,
     partial_trace_to,
+    passive_state,
     product_thermal_state,
     separable_optimal_state,
     separable_work_limit,
@@ -226,6 +236,72 @@ def test_dicke_blocks_are_sized_before_they_are_built(monkeypatch):
         math.comb(16, 8)
 
 
+def _written_out(rho: DensityMatrix) -> DensityMatrix:
+    """The same state with every block group's values written out in full."""
+    groups = [(index, np.ascontiguousarray(values)) for index, values in rho.groups]
+    return DensityMatrix(core._Parts(rho.populations.copy(), groups))
+
+
+def _parts_bytes(rho: DensityMatrix) -> list:
+    """Shapes and bytes of the populations and of every group's arrays."""
+    arrays = [rho.populations] + [a for group in rho.groups for a in group]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 30.0])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dicke_readers_agree_bit_for_bit_on_broadcast_and_written_out_blocks(n, beta):
+    spec = SystemSpec.qubits(n, beta)
+    view = dicke_thermal_mixture(spec)
+    assert all(values.strides[1:] == (0, 0) for _, values in view.groups)
+    full = _written_out(view)
+    ham = build_hamiltonian(spec)
+    half = Bipartition.half_split(n)
+    sites = range(1, n + 1)
+    for read in (lambda rho: state_eigenvalues(rho).tobytes(),
+                 lambda rho: rho.diagonal.tobytes(),
+                 lambda rho: rho.entries.tobytes(),
+                 lambda rho: core._marginals(rho, spec, sites).tobytes(),
+                 lambda rho: mutual_information_multipartite(rho, spec).hex(),
+                 lambda rho: min_pt_eigenvalue(rho, spec, half).hex(),
+                 lambda rho: _parts_bytes(passive_state(rho, ham)),
+                 lambda rho: is_passive(rho, ham)):
+        assert read(view) == read(full)
+    unitaries = [pair_rotation_unitary(spec, 0.4)]
+    unitaries += [level_inversion_unitary(spec, level) for level in range((n + 1) // 2)]
+    for unitary in unitaries:
+        assert _parts_bytes(apply_unitary(view, unitary)) == \
+            _parts_bytes(apply_unitary(full, unitary))
+
+
+def test_dicke_mixture_allocates_under_half_of_its_written_out_blocks():
+    spec = SystemSpec.qubits(10, 0.7)
+    written_out = 16 * math.comb(20, 10)  # 2.96 MB of shell blocks
+    ham = build_hamiltonian(spec)
+    # two unsolved states, so neither the spectrum nor ergotropy finds one cached
+    steps = {"build": partial(dicke_thermal_mixture, spec),
+             "spectrum": partial(state_eigenvalues, dicke_thermal_mixture(spec)),
+             "ergotropy": partial(ergotropy, dicke_thermal_mixture(spec), ham, spec)}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for step, run in steps.items():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks[step] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(peak < written_out / 2 for peak in peaks.values()), peaks
+
+
+def test_dicke_block_values_are_read_only():
+    rho = dicke_thermal_mixture(SystemSpec.qubits(6, 1.0))
+    for _, values in rho.groups:
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # shell selection and the fixed-entropy diagonal family
 # ---------------------------------------------------------------------------
@@ -289,6 +365,16 @@ def test_diagonal_family_below_minimum_entropy():
     spec = SystemSpec.qubits(6, 1.0)
     with pytest.raises(DomainError):
         diagonal_state_at_entropy(spec, 0.3)
+
+
+def test_a_target_just_below_a_zero_minimum_is_the_zero_entropy_state():
+    # at beta E = 30 the minimum S(tau_beta) is below 1e-9, so a target under
+    # zero passes the minimum check and is answered like S = 0
+    spec = SystemSpec.qubits(2, 30.0)
+    below, below_params = diagonal_state_at_entropy(spec, -9.709913687965982e-11)
+    zero, zero_params = diagonal_state_at_entropy(spec, 0.0)
+    assert below_params == zero_params
+    assert below.populations.tobytes() == zero.populations.tobytes()
 
 
 def test_diagonal_family_rejects_qudits():
