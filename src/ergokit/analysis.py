@@ -84,6 +84,8 @@ def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
     blocks, exceed core.DENSE_BYTES_MAX.
     """
     _check_split(rho, spec, part)
+    if not rho.groups:  # a diagonal matrix is its own partial transpose
+        return float(rho.populations.min())
     dim, d = spec.dim, spec.d
     side = np.zeros(dim, dtype=np.int64)  # the side_a digits of every index, in place
     for sub in part.side_a:

@@ -166,11 +166,14 @@ def _hermiticity_defect(arr: np.ndarray) -> float:
     """Largest |arr[..., i, j] - conj(arr[..., j, i])| of a matrix or a stack of them.
 
     NaN or inf entries give NaN.  Walks the square tiles with i <= j, so
-    each entry is read once and no column is read with a stride.
+    each entry is read once and no column is read with a stride; blocks
+    within one tile are compared whole in one expression.
     """
     worst = 0.0
     dim, tile = arr.shape[-1], _HERMITICITY_TILE
     with np.errstate(invalid="ignore"):
+        if dim <= tile:
+            return float(np.abs(arr - arr.conj().swapaxes(-1, -2)).max(initial=0.0))
         for lo in range(0, dim, tile):
             for col in range(lo, dim, tile):
                 upper = arr[..., lo:lo + tile, col:col + tile]
@@ -205,11 +208,15 @@ def _dense_labels(arr: np.ndarray):
     index with the most links and the indices it links are one component,
     so only its links and those of the other indices are labelled.  None
     when a row has no zero (the first row is looked at first), or when the
-    labelling, at 48 bytes a link, would exceed DENSE_BYTES_MAX.
+    labelling, at 48 bytes a link, would exceed DENSE_BYTES_MAX.  An array
+    whose nonzero entries all lie on the diagonal labels every index apart
+    after one count, without the dim x dim link mask.
     """
     dim = arr.shape[0]
     if np.count_nonzero(arr[:1]) == dim:
         return None
+    if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
+        return np.arange(dim)
     linked = arr != 0
     linked |= linked.T
     np.fill_diagonal(linked, False)
@@ -239,8 +246,10 @@ def _dense_parts(arr: np.ndarray) -> _Parts:
     defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
     if not defect <= HERMITICITY_TOL:
         raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-    stacks = _component_blocks(label, member, diag, [(index, arr[None])])[0]
-    return _Parts(np.where(member, 0.0, diag.real), stacks.values())
+    groups = ()
+    if member.any():
+        groups = _component_blocks(label, member, diag, [(index, arr[None])])[0].values()
+    return _Parts(np.where(member, 0.0, diag.real), groups)
 
 
 class DensityMatrix:
@@ -428,7 +437,9 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
     Each diagonal sums the full diagonal pairwise.  An off-diagonal entry
     sums, in row-major order, the block entries whose two indices differ
     only in the kept digit; each block group is walked once for as many
-    sites as fit in _SLAB entries.
+    sites as fit in _SLAB entries.  A group over _SLAB entries goes one site
+    at a time, and its blocks with no such pair (every Dicke shell block)
+    are dropped before the entry masks are built.
     """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
@@ -446,11 +457,18 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
             right = rights[lo:lo + step, None, None]
             digit = index // right % d
             rest = index - digit * right
+            block = values
+            if values.size > _SLAB:
+                # one site: keep the blocks in which two indices differ only at it
+                ordered = np.sort(rest[0], axis=1)
+                keep = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                if not keep.all():
+                    digit, rest, block = digit[:, keep], rest[:, keep], values[keep]
             rows, cols = digit[..., :, None], digit[..., None, :]
             link = (rest[..., :, None] == rest[..., None, :]) & (rows != cols)
             site = np.arange(lo, lo + right.shape[0])[:, None, None, None]
             np.add.at(flat, ((site * d + rows) * d + cols)[link],
-                      np.broadcast_to(values, link.shape)[link])
+                      np.broadcast_to(block, link.shape)[link])
     return out
 
 
@@ -481,9 +499,12 @@ def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
 def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per node of range(size), the smallest node of its component under edges (a[k], b[k]).
 
-    Min-label propagation along the edges, with pointer jumping.
+    Min-label propagation along the edges, with pointer jumping; with no
+    edge every node is its own component.
     """
     label = np.arange(size)
+    if not a.size:
+        return label
     while True:
         low = np.minimum(label[a], label[b])
         hooked = label.copy()
@@ -544,6 +565,8 @@ def _component_blocks(label: np.ndarray, member: np.ndarray, diag: np.ndarray, g
 
 def _parts_eigenvalues(populations: np.ndarray, groups) -> np.ndarray:
     """The populations outside every block, then each block group's eigenvalues, unsorted."""
+    if not groups:
+        return populations.copy()
     free = np.ones(populations.size, dtype=bool)
     found = []
     for index, values in groups:

@@ -176,6 +176,24 @@ def _shell_family_entropy(gamma, p: float, n: int, shell: int, ln_shell_size: fl
     return -(xlnx(ground) + xlnx(top) + xlnx(gamma)) + gamma * ln_shell_size
 
 
+def _shell_residual(p: float, n: int, shell: int, ln_shell_size: float, s: float):
+    """resid(gamma) = _shell_family_entropy(gamma, p, n, shell, ln_shell_size) - s.
+
+    The same operations in the same order, so the same bits, written out in
+    one function: the bisection evaluates it about 33 times per answer.
+    """
+    log = math.log
+
+    def resid(g: float) -> float:
+        top = p - g * shell / n
+        ground = 1.0 - p - g * (n - shell) / n
+        return -((0.0 if ground <= 0.0 else ground * log(ground))
+                 + (0.0 if top <= 0.0 else top * log(top))
+                 + (0.0 if g <= 0.0 else g * log(g))) + g * ln_shell_size - s
+
+    return resid
+
+
 def diagonal_state_at_entropy(
     spec: SystemSpec, total_entropy: float
 ) -> tuple[DensityMatrix, DiagonalFamilyParams]:
@@ -191,7 +209,8 @@ def diagonal_state_at_entropy(
     gives, to the bit.
 
     Raises InfeasibilityError when no shell weight in the physical range
-    achieves the target, reporting the range f covered on the grid.
+    achieves the target, reporting the range f covered on the grid, hi
+    included.
     """
     if spec.d != 2:
         raise UnsupportedError("the diagonal family is implemented for qubits only")
@@ -215,17 +234,12 @@ def diagonal_state_at_entropy(
         hi = min(hi, n * p / shell)
     hi = min(hi, n * (1.0 - p) / (n - shell))
 
-    def resid(g: float) -> float:
-        return _shell_family_entropy(g, p, n, shell, ln_shell_size) - s
-
-    multiples = np.arange(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1) * GAMMA_SCAN_STEP
-    grid = np.minimum(multiples, hi)
+    resid = _shell_residual(p, n, shell, ln_shell_size, s)
+    grid = np.minimum(np.arange(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1) * GAMMA_SCAN_STEP, hi)
     approx = _shell_family_entropy(grid, p, n, shell, ln_shell_size, _xlnx_array) - s
     gamma = _first_crossing(resid, grid, approx)
     if gamma is None:
-        # the reported range is over the multiples of the step, without hi itself
-        below = multiples <= hi
-        low, high = _scalar_extremes(resid, grid[below], approx[below])
+        low, high = _scalar_extremes(resid, grid, approx)
         raise InfeasibilityError(
             f"no shell weight in [0, {hi!r}] reaches entropy {s}; "
             f"family covers [{low + s!r}, {high + s!r}]"

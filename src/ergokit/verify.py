@@ -81,9 +81,13 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 def random_density_matrix(rng, dim: int) -> DensityMatrix:
+    return DensityMatrix(_random_density_array(rng, dim))
+
+
+def _random_density_array(rng, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
-    return DensityMatrix(mat / mat.trace())
+    return mat / mat.trace()
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
@@ -93,18 +97,19 @@ def random_unitary(rng, dim: int) -> np.ndarray:
 
 
 def equal_energy_pair(rng, hamiltonian: np.ndarray, dim: int):
-    """Two random states of equal energy.
+    """Two random density arrays of equal energy.
 
     The second draw is repeated until both energies sit on the same side
     of the maximally mixed energy; the farther state is then shrunk toward
-    the maximally mixed state to match the nearer one exactly.
+    the maximally mixed state to match the nearer one exactly.  The draws
+    stay arrays, so no rejected draw is built as a state.
     """
     mean = float(hamiltonian.mean())
-    rho1 = random_density_matrix(rng, dim)
-    e1 = float(rho1.diagonal @ hamiltonian)
+    rho1 = _random_density_array(rng, dim)
+    e1 = _energy(rho1, hamiltonian)
     for _ in range(500):
-        rho2 = random_density_matrix(rng, dim)
-        e2 = float(rho2.diagonal @ hamiltonian)
+        rho2 = _random_density_array(rng, dim)
+        e2 = _energy(rho2, hamiltonian)
         if (e1 - mean) * (e2 - mean) > 0:
             break
     else:
@@ -115,15 +120,21 @@ def equal_energy_pair(rng, hamiltonian: np.ndarray, dim: int):
     else:
         scale = (e1 - mean) / (e2 - mean)
         rho2 = _shrink_to_mixed(rho2, scale)
-    e1 = float(rho1.diagonal @ hamiltonian)
-    e2 = float(rho2.diagonal @ hamiltonian)
+    e1 = _energy(rho1, hamiltonian)
+    e2 = _energy(rho2, hamiltonian)
     assert abs(e1 - e2) <= 1e-10, f"energy equalization failed: {e1} vs {e2}"
     return rho1, rho2
 
 
-def _shrink_to_mixed(rho: DensityMatrix, scale: float) -> DensityMatrix:
-    dim = rho.dim
-    return DensityMatrix(scale * rho.entries + (1 - scale) * np.eye(dim) / dim)
+def _energy(arr: np.ndarray, hamiltonian: np.ndarray) -> float:
+    # a contiguous copy of the diagonal, as DensityMatrix.diagonal gives, so the
+    # dot product sums in the same order
+    return float(arr.diagonal().real.copy() @ hamiltonian)
+
+
+def _shrink_to_mixed(arr: np.ndarray, scale: float) -> np.ndarray:
+    dim = arr.shape[0]
+    return scale * arr + (1 - scale) * np.eye(dim) / dim
 
 
 def _max_marginal_defect(rho: DensityMatrix, spec: SystemSpec,
@@ -222,12 +233,12 @@ def check_ergotropy_convexity(rng):
     worst = -math.inf
     for k in range(500):
         spec, ham = (specs[k % len(specs)], hams[k % len(specs)])
-        rho1, rho2 = equal_energy_pair(rng, ham, spec.dim)
+        arr1, arr2 = equal_energy_pair(rng, ham, spec.dim)
         t = float(rng.uniform())
-        mixed = DensityMatrix(t * rho1.entries + (1 - t) * rho2.entries)
+        mixed = DensityMatrix(t * arr1 + (1 - t) * arr2)
         lhs = ergotropy(mixed, ham).ergotropy
-        rhs = (t * ergotropy(rho1, ham).ergotropy
-               + (1 - t) * ergotropy(rho2, ham).ergotropy)
+        rhs = (t * ergotropy(DensityMatrix(arr1), ham).ergotropy
+               + (1 - t) * ergotropy(DensityMatrix(arr2), ham).ergotropy)
         worst = max(worst, lhs - rhs)
     assert worst <= 1e-9, f"convexity violated by {worst}"
 

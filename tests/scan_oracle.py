@@ -8,8 +8,6 @@ refusals must equal these to the bit.
 
 import math
 
-import numpy as np
-
 from ergokit import SystemSpec
 from ergokit.errors import DomainError, InfeasibilityError
 from ergokit.families import (
@@ -41,9 +39,8 @@ def diagonal_family_params(spec: SystemSpec, total_entropy: float) -> DiagonalFa
 
     gamma = first_crossing(resid, hi)
     if gamma is None:
-        grid = np.arange(0.0, hi + GAMMA_SCAN_STEP, GAMMA_SCAN_STEP)
-        grid = grid[grid <= hi]
-        values = [resid(float(g)) + s for g in grid]
+        # every point the scan evaluated, hi included
+        values = [resid(g) + s for g in scan_grid(hi)]
         raise InfeasibilityError(
             f"no shell weight in [0, {hi!r}] reaches entropy {s}; "
             f"family covers [{min(values)!r}, {max(values)!r}]"
@@ -56,15 +53,18 @@ def diagonal_family_params(spec: SystemSpec, total_entropy: float) -> DiagonalFa
     )
 
 
+def scan_grid(hi: float) -> list:
+    """The scan's points min(k GAMMA_SCAN_STEP, hi), k = 0 .. ceil(hi / GAMMA_SCAN_STEP)."""
+    return [min(k * GAMMA_SCAN_STEP, hi) for k in range(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1)]
+
+
 def first_crossing(resid, hi: float):
     """First sign change of resid on [0, hi] by forward scan, then bisection."""
     prev_g = 0.0
     prev_r = resid(0.0)
     if abs(prev_r) <= 1e-9:
         return 0.0
-    steps = int(math.ceil(hi / GAMMA_SCAN_STEP))
-    for k in range(1, steps + 1):
-        g = min(k * GAMMA_SCAN_STEP, hi)
+    for g in scan_grid(hi)[1:]:
         r = resid(g)
         if abs(r) <= GAMMA_BISECTION_TOL:
             return g

@@ -157,6 +157,41 @@ def test_a_marginal_below_minus_1e10_still_raises():
         mutual_information_multipartite(rho, spec)
 
 
+def shell_states(n: int) -> list:
+    """The Dicke mixture, rotated and shell-inverted, and a rotated product: groups over _SLAB."""
+    spec = SystemSpec.qubits(n, 0.7)
+    dicke = dicke_thermal_mixture(spec)
+    product = product_thermal_state(spec, 1.3)
+    level = level_inversion_unitary(spec, (n - 1) // 2)
+    return [dicke, apply_unitary(dicke, pair_rotation_unitary(spec, 0.3)),
+            apply_unitary(dicke, level), apply_unitary(product, level),
+            apply_unitary(product, pair_rotation_unitary(spec, 0.4)),
+            random_density_matrix(np.random.default_rng(n), 2 ** min(n, 8))]
+
+
+@pytest.mark.parametrize("n", [8, 10, 11])
+def test_marginals_of_large_groups_equal_the_per_site_sums_bit_for_bit(n):
+    # groups over _SLAB entries drop the blocks with no pair differing at the site
+    for rho in shell_states(n):
+        spec = SystemSpec.qubits(round(math.log2(rho.dim)), 0.7)
+        sites = range(1, spec.n + 1)
+        expected = np.stack([per_site_marginal(rho, spec, keep) for keep in sites])
+        assert core._marginals(rho, spec, sites).tobytes() == expected.tobytes()
+
+
+def test_dicke_mutual_information_at_n12_stays_within_1_mb():
+    spec = SystemSpec.qubits(12, 0.7)
+    rho = dicke_thermal_mixture(spec)
+    state_eigenvalues(rho)  # the spectrum is not the marginals' cost
+    tracemalloc.start()
+    try:
+        mutual_information_multipartite(rho, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"  # 11 MB walking every entry
+
+
 @settings(max_examples=120)
 @given(drawn=structured_states(), data=st.data())
 def test_is_passive_agrees_with_the_dense_matrix(drawn, data):
