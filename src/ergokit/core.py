@@ -246,10 +246,8 @@ def _dense_parts(arr: np.ndarray) -> _Parts:
     defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
     if not defect <= HERMITICITY_TOL:
         raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-    groups = ()
-    if member.any():
-        groups = _component_blocks(label, member, diag, [(index, arr[None])])[0].values()
-    return _Parts(np.where(member, 0.0, diag.real), groups)
+    stacks = _component_blocks(label, member, diag, [(index, arr[None])])[0]
+    return _Parts(np.where(member, 0.0, diag.real), stacks.values())
 
 
 class DensityMatrix:
@@ -499,12 +497,9 @@ def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
 def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per node of range(size), the smallest node of its component under edges (a[k], b[k]).
 
-    Min-label propagation along the edges, with pointer jumping; with no
-    edge every node is its own component.
+    Min-label propagation along the edges, with pointer jumping.
     """
     label = np.arange(size)
-    if not a.size:
-        return label
     while True:
         low = np.minimum(label[a], label[b])
         hooked = label.copy()

@@ -176,24 +176,6 @@ def _shell_family_entropy(gamma, p: float, n: int, shell: int, ln_shell_size: fl
     return -(xlnx(ground) + xlnx(top) + xlnx(gamma)) + gamma * ln_shell_size
 
 
-def _shell_residual(p: float, n: int, shell: int, ln_shell_size: float, s: float):
-    """resid(gamma) = _shell_family_entropy(gamma, p, n, shell, ln_shell_size) - s.
-
-    The same operations in the same order, so the same bits, written out in
-    one function: the bisection evaluates it about 33 times per answer.
-    """
-    log = math.log
-
-    def resid(g: float) -> float:
-        top = p - g * shell / n
-        ground = 1.0 - p - g * (n - shell) / n
-        return -((0.0 if ground <= 0.0 else ground * log(ground))
-                 + (0.0 if top <= 0.0 else top * log(top))
-                 + (0.0 if g <= 0.0 else g * log(g))) + g * ln_shell_size - s
-
-    return resid
-
-
 def diagonal_state_at_entropy(
     spec: SystemSpec, total_entropy: float
 ) -> tuple[DensityMatrix, DiagonalFamilyParams]:
@@ -234,7 +216,9 @@ def diagonal_state_at_entropy(
         hi = min(hi, n * p / shell)
     hi = min(hi, n * (1.0 - p) / (n - shell))
 
-    resid = _shell_residual(p, n, shell, ln_shell_size, s)
+    def resid(g: float) -> float:
+        return _shell_family_entropy(g, p, n, shell, ln_shell_size) - s
+
     grid = np.minimum(np.arange(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1) * GAMMA_SCAN_STEP, hi)
     approx = _shell_family_entropy(grid, p, n, shell, ln_shell_size, _xlnx_array) - s
     gamma = _first_crossing(resid, grid, approx)

@@ -46,20 +46,7 @@ def former_dense_labels(arr: np.ndarray):
     if links[hub] == dim - 1 or 48 * int(links[rows].sum()) > DENSE_BYTES_MAX:
         return None
     a, b = np.nonzero(linked[rows])
-    return former_component_labels(dim, np.flatnonzero(rows)[a], b)
-
-
-def former_component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    label = np.arange(size)
-    while True:
-        low = np.minimum(label[a], label[b])
-        hooked = label.copy()
-        np.minimum.at(hooked, a, low)
-        np.minimum.at(hooked, b, low)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return label
-        label = hooked
+    return core._component_labels(dim, np.flatnonzero(rows)[a], b)
 
 
 def former_dense_parts(arr: np.ndarray) -> core._Parts:
@@ -180,9 +167,6 @@ def test_hermiticity_defect_equals_the_tile_walk(m, k, seed, special):
 def test_no_edges_label_every_node_apart():
     none = np.empty(0, dtype=np.int64)
     np.testing.assert_array_equal(core._component_labels(7, none, none), np.arange(7))
-    a, b = np.array([5, 1]), np.array([2, 4])
-    np.testing.assert_array_equal(core._component_labels(7, a, b),
-                                  former_component_labels(7, a, b))
 
 
 def test_no_groups_give_the_populations_as_eigenvalues():
@@ -226,27 +210,8 @@ def test_min_pt_eigenvalue_of_a_block_free_state_still_checks_the_split():
 
 
 # ---------------------------------------------------------------------------
-# the fixed-entropy bisection's scalar residual
+# the fixed-entropy refusal's range
 # ---------------------------------------------------------------------------
-
-def test_shell_residual_equals_the_nested_calls_bit_for_bit():
-    compared = 0
-    for n in range(2, 15):
-        for beta in (0.0, 0.3, 1.0, 2.0, 5.0, 30.0):
-            p = thermal_params(SystemSpec.qubits(n, beta)).populations[1]
-            for shell in range(n // 2 + 1):
-                ln_size = math.log(math.comb(n, shell))
-                hi = min(1.0, n * p / shell if shell else 1.0, n * (1.0 - p) / (n - shell))
-                for s in (0.0, 0.7 * ln_size, 1.3):
-                    resid = families._shell_residual(p, n, shell, ln_size, s)
-                    for g in [*np.linspace(0.0, hi, 41).tolist(), hi * 1e-17, -1e-3, hi + 1e-3]:
-                        expected = families._shell_family_entropy(
-                            g, p, n, shell, ln_size, xlnx=families._xlnx) - s
-                        assert math.copysign(1.0, resid(g)) == math.copysign(1.0, expected)
-                        assert resid(g) == expected, (n, beta, shell, s, g)
-                        compared += 1
-    assert compared > 40000
-
 
 def test_refused_range_includes_the_last_scan_point():
     # f still rises at hi here, so the largest value the scan saw is f(hi)
