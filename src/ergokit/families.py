@@ -159,21 +159,44 @@ def _xlnx(x: float) -> float:
     return 0.0 if x <= 0.0 else x * math.log(x)
 
 
-def _xlnx_array(x: np.ndarray) -> np.ndarray:
-    positive = x > 0.0
-    return np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0)
-
-
-def _shell_family_entropy(gamma, p: float, n: int, shell: int, ln_shell_size: float,
-                          xlnx=_xlnx):
-    """Global entropy of the three-weight diagonal family at shell weight gamma.
-
-    With xlnx=_xlnx_array, gamma may be an array; the arithmetic is the
-    same, but np.log may differ from math.log in the last bit.
-    """
+def _shell_family_entropy(gamma: float, p: float, n: int, shell: int,
+                          ln_shell_size: float) -> float:
+    """Global entropy f(gamma) of the three-weight diagonal family at shell weight gamma."""
     top = p - gamma * shell / n
     ground = 1.0 - p - gamma * (n - shell) / n
-    return -(xlnx(ground) + xlnx(top) + xlnx(gamma)) + gamma * ln_shell_size
+    return -(_xlnx(ground) + _xlnx(top) + _xlnx(gamma)) + gamma * ln_shell_size
+
+
+def _shell_family_slope(gamma: float, p: float, n: int, shell: int,
+                        ln_shell_size: float) -> float:
+    """f' = ((n-D) ln ground + D ln top)/n - ln gamma + ln C(n, D); -inf at a weight <= 0."""
+    top = p - gamma * shell / n
+    ground = 1.0 - p - gamma * (n - shell) / n
+    if ground <= 0.0 or top <= 0.0:
+        return -math.inf
+    return ((n - shell) * math.log(ground) + shell * math.log(top)) / n \
+        - math.log(gamma) + ln_shell_size
+
+
+def _rising_root(resid, slope, x: float, hi: float):
+    """Root of a concave resid by Newton steps from x, which lies at or below it.
+
+    Tangents of a concave function lie above it, so the steps rise to the
+    root with no bracket, to resid >= 0 or a step of at most 4 ulp.  None
+    once the slope is <= 0 or hi is reached first: then resid < 0 on [0, hi].
+    """
+    for _ in range(100):
+        r = resid(x)
+        if r >= 0.0:
+            return x
+        d = slope(x)
+        if x >= hi or not d > 0.0:
+            return None
+        new = min(x - r / d, hi)
+        if new - x <= 4.0 * math.ulp(x):
+            return new
+        x = new
+    return None
 
 
 def diagonal_state_at_entropy(
@@ -181,18 +204,18 @@ def diagonal_state_at_entropy(
 ) -> tuple[DensityMatrix, DiagonalFamilyParams]:
     """Diagonal locally thermal qubit state with the prescribed global entropy.
 
-    On the chosen shell, f(gamma) is concave: every weight is affine in
-    gamma, -x ln x is concave and gamma ln C(n, D) is linear.  The solve
-    takes the first crossing of f(gamma) = total_entropy on the grid
-    gamma_k = min(k GAMMA_SCAN_STEP, hi): one NumPy pass evaluates f over
-    the whole grid and proposes the few grid points where the crossing can
-    be, then the scalar f (math.log) decides at those points and bisects
-    inside the bracket.  The answer is the one a scalar scan of the grid
-    gives, to the bit.
+    A target outside [S(tau_beta), n S(tau_beta)] (within 1e-9) raises
+    DomainError, since entropy is subadditive.  The state puts weight
+    gamma on the smallest shell D with ln C(n, D) >= S, where the entropy
+    f(gamma) is concave (affine weights, concave -x ln x, linear
+    gamma ln C(n, D)); gamma is the rising root of f = S, by Newton steps
+    on the closed-form f', or 0 for a target within 1e-9 of f(0).
 
-    Raises InfeasibilityError when no shell weight in the physical range
-    achieves the target, reporting the range f covered on the grid, hi
-    included.
+    As a forward scan of the grid gamma_k = min(k GAMMA_SCAN_STEP, hi)
+    would, S is refused exactly when f < S - GAMMA_BISECTION_TOL at every
+    grid point: InfeasibilityError reports the range f covers there, hi
+    included.  By concavity only the grid points around the root or the
+    peak of f need f.
     """
     if spec.d != 2:
         raise UnsupportedError("the diagonal family is implemented for qubits only")
@@ -201,33 +224,16 @@ def diagonal_state_at_entropy(
     n = spec.n
     p = thermal_params(spec).populations[1]
     s_local = thermal_entropy(spec)
-    if not s >= s_local - 1e-9:
-        raise DomainError(
-            f"global entropy {s} below the locally thermal minimum {s_local!r}"
-        )
+    if not s_local - 1e-9 <= s <= n * s_local + 1e-9:
+        raise DomainError(f"global entropy {s} outside the locally thermal range "
+                          f"[S(tau_beta), n S(tau_beta)] = [{s_local!r}, {n * s_local!r}]")
     # a target within the tolerance below a zero minimum is the S = 0 state
     shell = smallest_shell_for_entropy(n, max(s, 0.0))
     shell_size = math.comb(n, shell)
-    ln_shell_size = math.log(shell_size)
 
-    # weight nonnegativity bounds the scan: top_weight >= 0 and ground_weight >= 0
-    hi = 1.0
-    if shell > 0:
-        hi = min(hi, n * p / shell)
-    hi = min(hi, n * (1.0 - p) / (n - shell))
-
-    def resid(g: float) -> float:
-        return _shell_family_entropy(g, p, n, shell, ln_shell_size) - s
-
-    grid = np.minimum(np.arange(int(math.ceil(hi / GAMMA_SCAN_STEP)) + 1) * GAMMA_SCAN_STEP, hi)
-    approx = _shell_family_entropy(grid, p, n, shell, ln_shell_size, _xlnx_array) - s
-    gamma = _first_crossing(resid, grid, approx)
-    if gamma is None:
-        low, high = _scalar_extremes(resid, grid, approx)
-        raise InfeasibilityError(
-            f"no shell weight in [0, {hi!r}] reaches entropy {s}; "
-            f"family covers [{low + s!r}, {high + s!r}]"
-        )
+    # weight nonnegativity bounds gamma: top_weight >= 0 and ground_weight >= 0
+    hi = min(1.0, n * p / shell if shell else 1.0, n * (1.0 - p) / (n - shell))
+    gamma = _shell_weight(s, p, n, shell, hi)
 
     top = p - gamma * shell / n
     ground = 1.0 - p - gamma * (n - shell) / n
@@ -236,64 +242,57 @@ def diagonal_state_at_entropy(
     diag[-1] += top
     if gamma > 0.0:
         diag[dicke_index_set(n, shell)] += gamma / shell_size
-    params = DiagonalFamilyParams(
-        ground_weight=ground,
-        top_weight=top,
-        shell_weight=gamma,
-        shell_excitations=shell,
-    )
-    return DensityMatrix.from_diagonal(diag), params
+    return DensityMatrix.from_diagonal(diag), DiagonalFamilyParams(ground, top, gamma, shell)
 
 
-# bounds |approx - resid| on the grid: the two logs differ by a few ulp on
-# three terms of size at most 1/e, a few 1e-16, plus rounding of the sum
-_ARRAY_SLACK = 1e-13
+def _shell_weight(s: float, p: float, n: int, shell: int, hi: float) -> float:
+    """The shell weight gamma in [0, hi] of diagonal_state_at_entropy, or InfeasibilityError."""
+    ln_shell_size = math.log(math.comb(n, shell))
 
+    def resid(g: float) -> float:
+        return _shell_family_entropy(g, p, n, shell, ln_shell_size) - s
 
-def _first_crossing(resid, grid: np.ndarray, approx: np.ndarray):
-    """First grid point where resid reaches zero or changes sign, refined by bisection.
+    def slope(g: float) -> float:
+        return _shell_family_slope(g, p, n, shell, ln_shell_size)
 
-    approx is resid over grid from the array pass.  A scalar scan stops at
-    the first point where |resid| <= GAMMA_BISECTION_TOL, which makes
-    |approx| at most the tolerance plus _ARRAY_SLACK, or where resid
-    changes sign; at points that miss the tolerance |resid| is far above
-    the slack, so approx changes sign there too.  Only those candidates
-    are evaluated with resid, in order.
-    """
+    def on_grid(k: int) -> float:
+        return resid(min(k * GAMMA_SCAN_STEP, hi))
+
     # a target within rounding of the f(0) entropy floor is the gamma = 0 state
-    if abs(resid(0.0)) <= 1e-9:
+    r0 = resid(0.0)
+    if r0 >= -1e-9:
         return 0.0
-    near = np.abs(approx) <= GAMMA_BISECTION_TOL + _ARRAY_SLACK
-    negative = approx < 0.0
-    candidates = near[1:] | (negative[1:] != negative[:-1])
-    for k in np.flatnonzero(candidates) + 1:
-        prev_g, g = float(grid[k - 1]), float(grid[k])
-        prev_r, r = resid(prev_g), resid(g)
-        if abs(r) <= GAMMA_BISECTION_TOL:
-            return g
-        if (prev_r < 0.0) != (r < 0.0):
-            return _bisect(resid, prev_g, prev_r, g)
-    return None
-
-
-def _bisect(resid, lo: float, lo_r: float, up: float) -> float:
-    """Root of resid in the bracket [lo, up], where resid(lo) = lo_r."""
-    for _ in range(200):
-        mid = 0.5 * (lo + up)
-        mid_r = resid(mid)
-        if abs(mid_r) <= GAMMA_BISECTION_TOL:
-            return mid
-        if (mid_r < 0.0) == (lo_r < 0.0):
-            lo, lo_r = mid, mid_r
-        else:
-            up = mid
-    return 0.5 * (lo + up)
-
-
-def _scalar_extremes(resid, grid: np.ndarray, approx: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest resid over grid, evaluated only near the extremes of approx."""
-    def resid_at(mask):
-        return [resid(float(g)) for g in grid[mask]]
-
-    return (min(resid_at(approx <= approx.min() + 2.0 * _ARRAY_SLACK)),
-            max(resid_at(approx >= approx.max() - 2.0 * _ARRAY_SLACK)))
+    # Here S > 0, so shell >= 1 and p > 0.  Both weights fall with g, so
+    # f(g) - f(0) <= U(g) = g (c - ln g), where c - 1 is f'(g) + ln g at
+    # g = 0.  With K = c - ln(-r0) >= 1, g = -r0 / (K + ln 2K) lies on U's
+    # rising branch with U(g) <= -r0, so at or below the root; K < 1 puts
+    # -r0 above U's peak, and f never reaches S.
+    c = ((n - shell) * math.log(1.0 - p) + shell * math.log(p)) / n + ln_shell_size + 1.0
+    big_k = c - math.log(-r0)
+    root = None
+    if big_k >= 1.0:
+        root = _rising_root(resid, slope, min(-r0 / (big_k + math.log(2.0 * big_k)), hi), hi)
+    steps = math.ceil(hi / GAMMA_SCAN_STEP)
+    tol = GAMMA_BISECTION_TOL
+    if root is not None:
+        # {resid >= -tol} is an interval around root: it holds a grid point
+        # exactly when it holds one of the two around root
+        k = math.ceil(root / GAMMA_SCAN_STEP)
+        if on_grid(k) >= -tol or (k > 1 and on_grid(k - 1) >= -tol):
+            return root
+    # f' > 0 at g_lo, and f' <= 0 at g_up unless up = steps, so the grid's
+    # largest f is at g_lo or g_up
+    lo, up = 0, steps
+    while up - lo > 1:
+        mid = (lo + up) // 2
+        lo, up = (mid, up) if slope(min(mid * GAMMA_SCAN_STEP, hi)) > 0.0 else (lo, mid)
+    r_lo, r_up = on_grid(lo), on_grid(up)
+    if max(r_lo, r_up) >= -tol:
+        # f peaks below S, so this is the first grid point a scan accepts
+        return min((lo if r_lo >= -tol else up) * GAMMA_SCAN_STEP, hi)
+    # concave f is smallest at an end of the grid; hi may lie a hair past g_(K-1)
+    low = min(r0, on_grid(steps - 1), on_grid(steps))
+    raise InfeasibilityError(
+        f"no shell weight in [0, {hi!r}] reaches entropy {s}; "
+        f"family covers [{low + s!r}, {max(r_lo, r_up) + s!r}]"
+    )

@@ -7,6 +7,7 @@ inputs; a float result can then be judged by its relative error.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
@@ -46,3 +47,23 @@ def _log1p(x: Decimal) -> Decimal:
         total += term / k
         term, k = -term * x, k + 1
     return total
+
+
+def shell_family_entropy(n: int, shell: int, ground: float, top: float, gamma: float) -> Decimal:
+    """Entropy of the diagonal family's state from its three weights.
+
+    ground sits on |0...0>, top on |1...1> and gamma is spread evenly over
+    the C(n, shell) states with shell excitations; at shell 0 that shell
+    is |0...0> itself, so gamma adds to ground.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        size = math.comb(n, shell)
+        g, t, w = Decimal(ground), Decimal(top), Decimal(gamma)
+        if shell == 0:
+            g, w = g + w, Decimal(0)
+        total = Decimal(0)
+        for weight, count in ((g, 1), (t, 1), (w / size, size)):
+            if weight > 0:
+                total -= count * weight * weight.ln()
+        return total

@@ -5,7 +5,8 @@ purpose:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-then list the moved cells (tests/test_golden.py prints them) in CHANGES.md.
+It prints every cell it changes, as file, row, column, old value, new
+value and |Δ|; list those moved cells in CHANGES.md.
 """
 
 import sys
@@ -13,8 +14,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from golden_outputs import COMMANDS, GOLDEN_DIR, run_command  # noqa: E402
+from golden_outputs import COMMANDS, GOLDEN_DIR, differing_cells, run_command  # noqa: E402
 
 for name in COMMANDS:
-    run_command(name, GOLDEN_DIR / name)
-    print(f"wrote {GOLDEN_DIR / name}")
+    path = GOLDEN_DIR / name
+    old = path.read_text(encoding="utf-8") if path.exists() else None
+    run_command(name, path)
+    new = path.read_text(encoding="utf-8")
+    if old is None:
+        print(f"{name}: new file")
+    elif new != old:
+        for cell in differing_cells(old, new) or ["(same cells, different bytes)"]:
+            print(f"{name} {cell}")
+    print(f"wrote {path}")

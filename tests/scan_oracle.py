@@ -1,9 +1,10 @@
 """Scalar reference for families.diagonal_state_at_entropy.
 
 The forward scan below evaluates the scalar f once per grid point, in
-order, and bisects at the first crossing.  The package proposes the
-crossing from one NumPy pass over the same grid instead; its answers and
-refusals must equal these to the bit.
+order, and bisects at the first crossing.  The package solves for the
+root by Newton steps and evaluates f at a few grid points only; its
+shells, refusals and refusal messages must equal these to the bit, and
+its answers reach the target entropy at least as closely.
 """
 
 import math
@@ -23,9 +24,10 @@ def diagonal_family_params(spec: SystemSpec, total_entropy: float) -> DiagonalFa
     n = spec.n
     p = thermal_params(spec).populations[1]
     s_local = thermal_entropy(spec)
-    if not s >= s_local - 1e-9:
+    if not s_local - 1e-9 <= s <= n * s_local + 1e-9:
         raise DomainError(
-            f"global entropy {s} below the locally thermal minimum {s_local!r}"
+            f"global entropy {s} outside the locally thermal range "
+            f"[S(tau_beta), n S(tau_beta)] = [{s_local!r}, {n * s_local!r}]"
         )
     shell = smallest_shell_for_entropy(n, max(s, 0.0))
     ln_shell_size = math.log(math.comb(n, shell))
@@ -62,7 +64,7 @@ def first_crossing(resid, hi: float):
     """First sign change of resid on [0, hi] by forward scan, then bisection."""
     prev_g = 0.0
     prev_r = resid(0.0)
-    if abs(prev_r) <= 1e-9:
+    if prev_r >= -1e-9:
         return 0.0
     for g in scan_grid(hi)[1:]:
         r = resid(g)

@@ -7,6 +7,7 @@ groups to the byte, the same typed error, or the same scalar to the bit.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ def test_a_diagonal_array_gives_the_former_parts_or_error(arr):
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal, on both paths
         assert outcome(lambda: DensityMatrix(arr)) == \
             outcome(lambda: DensityMatrix(former_dense_parts(arr)))
+
+
+def test_an_inf_on_a_coupled_arrays_diagonal_raises_no_warning_first():
+    # the populations' Hermiticity defect is inf - inf = NaN, which used to
+    # warn outside np.errstate; under -W error the warning then replaced
+    # the ValidityError
+    arr = np.diag([math.inf, 0.5, 0.5]).astype(complex)
+    arr[1, 2] = arr[2, 1] = 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(core.ValidityError, match="not finite and Hermitian"):
+            DensityMatrix(arr)
 
 
 def test_a_diagonal_array_builds_without_a_dim_squared_mask():

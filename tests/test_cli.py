@@ -110,10 +110,18 @@ def test_ergotropy_overflowing_ladder_exit_2(args, capsys):
 
 
 def test_ergotropy_infeasible_entropy_exit_code(capsys):
+    # 2.0 lies below n S(tau_beta) = 2.33, but above ln C(4, 2)
     code = main(["ergotropy", "--family", "fixed-entropy", "--n", "4",
-                 "--total-entropy", "5.0"])
+                 "--total-entropy", "2.0"])
     assert code == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_ergotropy_entropy_above_n_thermal_entropies_exit_2(capsys):
+    code = main(["ergotropy", "--family", "fixed-entropy", "--n", "4",
+                 "--total-entropy", "5.0"])
+    assert code == 2
+    assert "outside the locally thermal range" in capsys.readouterr().err
 
 
 def test_ergotropy_csv_row(tmp_path, capsys):

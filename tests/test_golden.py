@@ -1,8 +1,8 @@
 """CLI outputs are byte-identical to the committed golden files.
 
 A change that moves an output on purpose regenerates them with
-tests/golden/regenerate.py and lists the moved cells, which this test
-prints, in CHANGES.md.
+tests/golden/regenerate.py and lists the moved cells, which both this
+test and the script print, in CHANGES.md.
 """
 
 import pytest

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from ergokit import (
     Bipartition,
     DensityMatrix,
+    DomainError,
     InfeasibilityError,
     SystemSpec,
     apply_unitary,
@@ -66,7 +67,7 @@ def family_states(spec: SystemSpec, beta_prime: float, angle: float, seed: int) 
         try:
             states["fixed-entropy"] = diagonal_state_at_entropy(
                 spec, thermal_entropy(spec) + 0.5 * angle)[0]
-        except InfeasibilityError:
+        except (DomainError, InfeasibilityError):  # above n S(tau_beta), or refused
             pass
     return states
 
