@@ -22,9 +22,7 @@ from .errors import (
     DomainError,
     ErgokitError,
     InfeasibilityError,
-    ShapeError,
     UnsupportedError,
-    ValidityError,
 )
 from .families import (
     diagonal_state_at_entropy,
@@ -388,11 +386,7 @@ def main(argv=None) -> int:
     except InfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, UnsupportedError, ShapeError, ValidityError,
-            CapacityError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ErgokitError as exc:
+    except (ErgokitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,6 @@ BETA_MAX_SCALE = 1e6
 
 ENTROPY_SOLVE_TOL = 1e-12
 ENTROPY_SOLVE_MAX_ITER = 200
-BETA_SOLVE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -176,13 +175,12 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     step on S itself moves beta' by only about 1/E; a step that does not
     land strictly inside the bracket is replaced by a bisection, geometric
     while the bracket spans more than a factor of 4 above a positive
-    lower end.  An entropy residual r moves beta' by about
-    r / (beta'^2 Var(E)) relative; the iteration stops once r is at most
-    1e-12 and at most 1e-10 beta'^2 Var(E), or when the bracket can no
-    longer be split.  The relative bound is what holds at large beta',
-    where s itself is near 1e-12, and near beta' = 0, where S is flat.
-    s = ln d returns beta' = 0; s at or below the sentinel entropy returns
-    the beta_max sentinel.
+    lower end.  The iteration stops once the Newton step lands within
+    4 ulp of beta', the stop of the shell-weight solve in `families`, or
+    when the bracket can no longer be split; Newton converges
+    quadratically, so beta' is then as right as the rounding of S at it
+    allows.  s = ln d returns beta' = 0; s at or below the sentinel
+    entropy returns the beta_max sentinel.
     """
     s = float(entropy_per_subsystem)
     s_max = math.log(spec.d)
@@ -204,18 +202,17 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     for _ in range(ENTROPY_SOLVE_MAX_ITER):
         params = thermal_params(spec, beta)
         entropy = params.entropy
-        resid = abs(entropy - s)
         variance = (math.fsum(p * e * e for p, e in zip(params.populations, ladder))
                     - params.mean_energy ** 2)
-        if resid <= ENTROPY_SOLVE_TOL and resid <= BETA_SOLVE_RTOL * beta * beta * variance:
+        step = math.nan
+        if entropy > 0.0 and variance > 0.0:
+            step = beta + (math.log(entropy) - math.log(s)) * entropy / (beta * variance)
+        if abs(step - beta) <= 4.0 * math.ulp(beta):
             return params
         if entropy > s:
             lo = beta  # entropy decreases with beta
         else:
             hi = beta
-        step = math.nan
-        if entropy > 0.0 and variance > 0.0:
-            step = beta + (math.log(entropy) - math.log(s)) * entropy / (beta * variance)
         if lo < step < hi:
             beta = step
         elif lo > 0.0 and hi > 4.0 * lo:
@@ -235,14 +232,15 @@ def entropy_constrained_bound(spec: SystemSpec, total_entropy: float) -> float:
     """Upper bound on extractable work from locally thermal states of fixed entropy.
 
     Equals n E_beta minus the energy of the product thermal state whose
-    per-subsystem entropy is total_entropy / n.
+    per-subsystem entropy is total_entropy / n.  A total within 1e-9 above
+    n ln d is taken as n ln d; beyond that it raises DomainError.
     """
     s = float(total_entropy)
     if not -1e-12 <= s <= spec.n * math.log(spec.d) + 1e-9:
         raise DomainError(
             f"total entropy {s} outside [0, n ln d = {spec.n * math.log(spec.d)!r}]"
         )
-    final = beta_for_entropy(spec, s / spec.n)
+    final = beta_for_entropy(spec, min(s / spec.n, math.log(spec.d)))
     initial = thermal_params(spec)
     return spec.n * (initial.mean_energy - final.mean_energy)
 

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
 from .families import dicke_index_set, product_thermal_diagonal, product_thermal_state
-from .passivity import BETA_MAX_SCALE, thermal_params
+from .passivity import BETA_MAX_SCALE, ThermalParams, thermal_params
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,7 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
     spectrum (hence entropy) is untouched.
     """
     _require_qubits(spec)
-    bias_prime = thermal_params(spec, beta_prime).bias
-    if not abs(target_bias) <= bias_prime + 1e-12:
-        raise UnreachableBiasError(
-            f"target bias {target_bias} exceeds the reachable range "
-            f"[-{bias_prime!r}, {bias_prime!r}]"
-        )
+    bias_prime = _reachable_params(spec, beta_prime, target_bias).bias
     if bias_prime == 0.0:
         angle = 0.0
     else:
@@ -155,6 +150,17 @@ def bias_after_inversion(spec: SystemSpec, excited_probability: float,
     return bias_prime - 2.0 * math.comb(n, level) * (bias_prime + 2.0 * mu / n) * swapped
 
 
+def _reachable_params(spec: SystemSpec, beta_prime: float, target_bias: float) -> ThermalParams:
+    """Gibbs weights at beta'; UnreachableBiasError if |target| exceeds bias' + 1e-12."""
+    params = thermal_params(spec, beta_prime)
+    if not abs(target_bias) <= params.bias + 1e-12:
+        raise UnreachableBiasError(
+            f"target bias {target_bias} exceeds the reachable range "
+            f"[-{params.bias!r}, {params.bias!r}]"
+        )
+    return params
+
+
 def _diagonal_bias(diag: np.ndarray, n: int) -> float:
     # subsystem 1 is the most significant bit: first half has it in |0>
     half = 1 << (n - 1)
@@ -180,13 +186,7 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     throughout.
     """
     _require_qubits(spec)
-    params = thermal_params(spec, beta_prime)
-    bias_prime = params.bias
-    if not abs(target_bias) <= bias_prime + 1e-12:
-        raise UnreachableBiasError(
-            f"target bias {target_bias} exceeds the reachable range "
-            f"[-{bias_prime!r}, {bias_prime!r}]"
-        )
+    params = _reachable_params(spec, beta_prime, target_bias)
     n = spec.n
     excited = params.populations[1]
     diag = product_thermal_diagonal(spec, beta_prime)

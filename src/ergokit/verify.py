@@ -345,8 +345,6 @@ def check_inversion_formula_exact(rng):
             excited = thermal_params(spec, beta_prime).populations[1]
             start = product_thermal_state(spec, beta_prime)
             for level in range(0, (n + 1) // 2):
-                if level >= n / 2:
-                    continue
                 predicted = bias_after_inversion(spec, excited, level)
                 swapped = apply_unitary(start, level_inversion_unitary(spec, level))
                 measured = measure_bias(swapped, spec)

@@ -67,3 +67,41 @@ def shell_family_entropy(n: int, shell: int, ground: float, top: float, gamma: f
             if weight > 0:
                 total -= count * weight * weight.ln()
         return total
+
+
+def qubit_beta_for_entropy(entropy: Decimal, energy: float = 1.0) -> Decimal:
+    """The beta' at which a qubit with gap `energy` has Gibbs entropy `entropy`, by bisection.
+
+    S falls from ln 2 at beta' = 0 to 0, so hi doubles from 1 / energy
+    until S(hi) <= entropy, and the bracket [hi / 2, hi] (or [0, 1 / energy])
+    is halved until it is 1e-48 of hi wide.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        ladder = (0.0, energy)
+        lo, hi = Decimal(0), 1 / Decimal(energy)
+        while thermal(ladder, hi).entropy > entropy:
+            lo, hi = hi, 2 * hi
+        while hi - lo > hi.scaleb(-PRECISION + 2):
+            mid = (lo + hi) / 2
+            if thermal(ladder, mid).entropy > entropy:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def figure1_ratios(beta_e: float, n: int) -> tuple[Decimal, Decimal, Decimal]:
+    """The entangled, separable and entropy-bound work ratios of figure 1 at n qubits.
+
+    Each is a work over n E_beta for a unit gap: 1, (n E_beta - p1) / (n E_beta)
+    and 1 - E_beta' / E_beta, where beta' gives each qubit 1/n of S(tau_beta).
+    """
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        ladder = (0.0, 1.0)
+        initial = thermal(ladder, beta_e)
+        final = thermal(ladder, qubit_beta_for_entropy(initial.entropy / n))
+        total = n * initial.mean_energy
+        return (Decimal(1), (total - initial.populations[1]) / total,
+                1 - final.mean_energy / initial.mean_energy)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergokit import DomainError, cli
+from ergokit import DomainError, NumericalError, cli
 from ergokit.cli import SweepConfig, load_config_file, main, sweep_rows
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
@@ -55,6 +55,15 @@ def test_figure1_domain_errors_exit_2(capsys):
     assert main(["figure1", "--n-max", "0"]) == 2
     assert main(["figure1", "--beta", "1e6", "--n-max", "3"]) == 2
     assert "underflows" in capsys.readouterr().err
+
+
+def test_a_numerical_error_in_a_handler_exits_2(monkeypatch, capsys):
+    def stalled(beta_e, n_max):
+        raise NumericalError("entropy solve stalled at residual 1.000e-08")
+
+    monkeypatch.setattr(cli, "figure1_rows", stalled)
+    assert main(["figure1", "--n-max", "3"]) == 2
+    assert capsys.readouterr().err == "error: entropy solve stalled at residual 1.000e-08\n"
 
 
 def test_figure1_files(tmp_path, capsys):

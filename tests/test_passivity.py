@@ -31,8 +31,9 @@ from ergokit import (
 from ergokit import passivity, verify
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
+from ergokit.reporting import format_value
 from ergokit.verify import _permutation_table, random_density_matrix
-from decimal_oracle import thermal
+from decimal_oracle import figure1_ratios, thermal
 from strategies import specs
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -370,18 +371,47 @@ def test_beta_for_entropy_domain_errors():
         entropy_constrained_bound(SystemSpec.qubits(3, 1.0), math.nan)
 
 
+def test_entropy_bound_domain_is_decided_by_the_total():
+    # one check, on the total: within 1e-9 above n ln d is n ln d (beta' = 0),
+    # beyond it the error names the total range
+    spec = SystemSpec.qubits(1, 1.0)
+    bound = entropy_constrained_bound(spec, math.log(2.0) + 5e-10)
+    assert bound == thermal_params(spec).mean_energy - thermal_params(spec, 0.0).mean_energy
+    with pytest.raises(DomainError, match=r"total entropy .* outside \[0, n ln d = "):
+        entropy_constrained_bound(spec, math.log(2.0) + 2e-9)
+
+
 @pytest.mark.parametrize("beta_e", [0.01, 1.0, 10.0, 28.0, 30.0, 35.0])
 def test_beta_for_entropy_recovers_beta(beta_e):
-    # at beta E = 30 the target entropy is about 3e-12, so an absolute
-    # 1e-12 entropy residual alone would leave beta' far off
+    # S is rounded within 2^-50 (1 + beta E) relative by thermal_params, once
+    # for the target and once at the answer; dS/dbeta' = -beta' Var(E) turns
+    # that into the only error the step stop leaves beyond 4 ulp
     for spec in (SystemSpec.qubits(1, 1.0), SystemSpec.qubits(1, 1.0, energy=2.0)):
         beta = beta_e / spec.energy_gap
-        found = beta_for_entropy(spec, thermal_entropy(spec, beta)).beta_prime
-        assert abs(found - beta) <= 1e-9 * beta
+        params = thermal_params(spec, beta)
+        variance = spec.energy_gap ** 2 * params.populations[0] * params.populations[1]
+        rounding = 2.0 * 2.0 ** -50 * (1.0 + beta_e) * params.entropy / (beta * variance)
+        found = beta_for_entropy(spec, params.entropy).beta_prime
+        assert abs(found - beta) <= 4.0 * math.ulp(beta) + rounding
+
+
+def newton_step_within_4_ulp(spec, params, s) -> bool:
+    """beta_for_entropy's stop: its Newton step on ln S moves beta' by at most 4 ulp."""
+    beta, entropy = params.beta_prime, params.entropy
+    variance = (math.fsum(p * e * e for p, e in zip(params.populations, spec.local_energies))
+                - params.mean_energy ** 2)
+    if not (entropy > 0.0 and variance > 0.0):
+        return False
+    step = beta + (math.log(entropy) - math.log(s)) * entropy / (beta * variance)
+    return abs(step - beta) <= 4.0 * math.ulp(beta)
 
 
 def meets_stopping_rule(spec, params, s) -> bool:
-    """beta_for_entropy's residual rule: at most 1e-12, and at most 1e-10 beta'^2 Var(E)."""
+    """reference_bisection's residual rule: at most 1e-12, and at most 1e-10 beta'^2 Var(E).
+
+    It is not the solver's rule: beta_for_entropy stops on its Newton step
+    (newton_step_within_4_ulp).
+    """
     resid = abs(params.entropy - s)
     variance = float(np.square(spec.local_energies) @ params.populations) - params.mean_energy ** 2
     return resid <= 1e-12 and resid <= 1e-10 * params.beta_prime ** 2 * variance
@@ -453,7 +483,7 @@ def test_beta_for_entropy_meets_its_stopping_rule_and_agrees_with_bisection(
         assert beta == 0.0
     elif beta == BETA_MAX_SCALE / gap:
         assert s <= params.entropy  # the sentinel: s is at or below its entropy
-    elif not meets_stopping_rule(spec, params, s):
+    elif not newton_step_within_4_ulp(spec, params, s):
         # the bracket can no longer be split: the float next to beta' on the
         # far side of the root has the entropy on the other side of s
         side = math.inf if params.entropy > s else 0.0
@@ -528,6 +558,18 @@ def test_thermal_entropy_and_figure1_at_large_beta_match_closed_forms(beta_e):
             hi = mid
     ratio = 1.0 - (1.0 + math.exp(beta_e)) / (1.0 + math.exp(lo))
     assert abs(figure1_rows(beta_e, 2)[1].entropy_bound_ratio - ratio) <= 1e-7
+
+
+@pytest.mark.parametrize("beta_e", [0.01, 1.0, 5.0, 20.0, 30.0, 35.0])
+def test_figure1_cells_match_the_decimal_oracle(beta_e):
+    # n = 1 is left out: its entropy bound is exactly 0, which a flat S
+    # near beta' = 0 (beta E = 0.01) leaves at a rounding residue
+    for row in figure1_rows(beta_e, 60)[1:]:
+        cells = (row.entangled_ratio, row.separable_ratio, row.entropy_bound_ratio)
+        for value, exact in zip(cells, figure1_ratios(beta_e, row.n)):
+            true = float(exact)
+            assert abs(value - true) <= 1e-14 * true, (row.n, value, exact)
+            assert format_value(value) == format_value(true), (row.n, value, exact)
 
 
 def test_beta_for_entropy_qutrit():
