@@ -34,7 +34,7 @@ from .figures import Figure1Row, figure1_rows
 from .passivity import ergotropy
 from .protocols import inversion_sequence_to_bias, prepare_locally_thermal
 from .reporting import emit_csv, svg_line_chart
-from .verify import DEFAULT_SEED, format_json, format_report, run_suite
+from .verify import DEFAULT_SEED, SUITES, format_json, format_report, run_suite
 
 STATE_FAMILIES = ("entangled", "separable", "dicke", "fixed-entropy")
 SWEEP_FAMILIES = STATE_FAMILIES + ("protocol",)
@@ -249,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     erg.add_argument("--total-entropy", dest="total_entropy", type=float)
 
     ver = command("verify", _cmd_verify, "run invariant suites")
-    ver.add_argument("--suite", choices=("all", "passivity", "protocols",
-                                         "entanglement", "bounds"), default="all")
+    ver.add_argument("--suite", choices=("all", *SUITES), default="all")
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.add_argument("--json", action="store_true",
                      help="print the report as one JSON object")

@@ -7,10 +7,10 @@ the total initial energy n E_beta for
 * the entropy-constrained bound at the separable state's entropy.
 
 Each column is a closed form or a scalar root solve (the bracketed Newton
-iteration of `beta_for_entropy`, which stops on its step, so from n = 2
-on the ratios are within a few 1e-15 relative of the exact values); no
-state is built, so n far beyond the byte limit on state-sized arrays is
-fine.
+iteration of `beta_for_entropy`, which starts at beta and stops on its
+step, so the n = 1 bound is exactly 0 and every ratio is within a few
+1e-15 relative of the exact value); no state is built, so n far beyond
+the byte limit on state-sized arrays is fine.
 """
 
 from __future__ import annotations

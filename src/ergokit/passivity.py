@@ -169,18 +169,19 @@ def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:
     """Invert the thermal-entropy map: find beta' with S(tau_beta') = s.
 
-    A bracketed Newton iteration on beta', starting at 1/gap, with the
-    slope dS/dbeta' = -beta' Var(E).  The Newton step is taken on ln S,
-    because S falls like beta' E e^(-beta' E) at large beta', where a
-    step on S itself moves beta' by only about 1/E; a step that does not
-    land strictly inside the bracket is replaced by a bisection, geometric
-    while the bracket spans more than a factor of 4 above a positive
-    lower end.  The iteration stops once the Newton step lands within
-    4 ulp of beta', the stop of the shell-weight solve in `families`, or
-    when the bracket can no longer be split; Newton converges
-    quadratically, so beta' is then as right as the rounding of S at it
-    allows.  s = ln d returns beta' = 0; s at or below the sentinel
-    entropy returns the beta_max sentinel.
+    A bracketed Newton iteration on beta', starting at the reference beta
+    (at 1/gap when that is 0 or at the sentinel), so s = S(tau_beta)
+    returns beta itself, with the slope dS/dbeta' = -beta' Var(E).  The
+    Newton step is taken on ln S, because S falls like beta' E e^(-beta' E)
+    at large beta', where a step on S itself moves beta' by only about 1/E;
+    a step that does not land strictly inside the bracket is replaced by a
+    bisection, geometric while the bracket spans more than a factor of 4
+    above a positive lower end.  The iteration stops once the Newton step
+    lands within 4 ulp of beta', the stop of the shell-weight solve in
+    `families`, or when the bracket can no longer be split; Newton
+    converges quadratically, so beta' is then as right as the rounding of
+    S at it allows.  s = ln d returns beta' = 0; s at or below the
+    sentinel entropy returns the beta_max sentinel.
     """
     s = float(entropy_per_subsystem)
     s_max = math.log(spec.d)
@@ -198,7 +199,7 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
         return floor_params
     ladder = spec.local_energies
     lo, hi = 0.0, beta_max
-    beta = 1.0 / gap
+    beta = spec.beta if 0.0 < spec.beta < beta_max else 1.0 / gap
     for _ in range(ENTROPY_SOLVE_MAX_ITER):
         params = thermal_params(spec, beta)
         entropy = params.entropy

@@ -191,20 +191,18 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     excited = params.populations[1]
     diag = product_thermal_diagonal(spec, beta_prime)
     bias = _diagonal_bias(diag, n)
-    used: set[int] = set()
     applied: list[int] = []
     offsets = [0]
     for m in range(1, n + 1):
         offsets.extend([m, -m])
     for mu in offsets:
         level = int(round(n * excited - mu))
-        if level < 0 or level >= n / 2 or level in used:
+        if level < 0 or level >= n / 2 or level in applied:
             continue
         candidate = _invert_shell(diag, n, level)
         candidate_bias = _diagonal_bias(candidate, n)
         if abs(candidate_bias - target_bias) < abs(bias - target_bias):
             diag, bias = candidate, candidate_bias
-            used.add(level)
             applied.append(level)
         else:
             break

@@ -52,6 +52,9 @@ class VerifyRun(NamedTuple):
     def result(self, name: str) -> CheckResult:
         return next(r for r in self.results if r.name == name)
 
+    def suite(self, name: str) -> list[CheckResult]:
+        return [r for r in self.results if r.name.startswith(f"{name}/")]
+
 
 @pytest.fixture(scope="session")
 def verify_all():

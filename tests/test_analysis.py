@@ -10,7 +10,6 @@ from ergokit import (
     DensityMatrix,
     DomainError,
     SystemSpec,
-    apply_unitary,
     bath_extractable_work,
     build_hamiltonian,
     count_global_energies,
@@ -18,10 +17,8 @@ from ergokit import (
     entangled_pure_state,
     entanglement_verdict,
     free_energy,
-    min_pt_eigenvalue,
     mutual_information_multipartite,
     npt_witness_half_split,
-    pair_rotation_unitary,
     product_thermal_state,
     separable_optimal_state,
     thermal_entropy,
@@ -117,9 +114,6 @@ def test_witness_point_value():
     exact = (1 - math.exp(-2.0)) - 2 * math.exp(-1.0)
     assert abs(value - exact) <= 1e-15
     assert abs(value - 0.128906) <= 1e-6
-    state = apply_unitary(product_thermal_state(spec, 1.0),
-                          pair_rotation_unitary(spec, math.pi / 4))
-    assert min_pt_eigenvalue(state, spec, Bipartition.half_split(2)) < -1e-10
 
 
 def test_witness_grows_with_n():

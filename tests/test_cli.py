@@ -9,11 +9,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergokit import DomainError, NumericalError, cli
+from ergokit import (
+    DensityMatrix,
+    DomainError,
+    NumericalError,
+    ShapeError,
+    SystemSpec,
+    UnsupportedError,
+    apply_unitary,
+    bath_extractable_work,
+    bias_after_inversion,
+    cli,
+    count_global_energies,
+    dicke_mixture_work_formula,
+    ergotropy,
+    npt_witness_half_split,
+    pair_rotation_unitary,
+    product_thermal_state,
+    thermal_params,
+    verify,
+)
 from ergokit.cli import SweepConfig, load_config_file, main, sweep_rows
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
-from ergokit.verify import CheckResult
+from ergokit.verify import DEFAULT_SEED, CheckResult, run_suite
 from golden_outputs import parse_csv
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -36,14 +55,6 @@ def test_figure1_rows_build_no_state():
     # every column is a closed form: a 2^60-entry state would not fit in memory
     rows = figure1_rows(1.0, 60)
     assert rows[-1].n == 60 and rows[-1].entangled_ratio == 1.0
-
-
-def test_figure1_stdout(capsys):
-    assert main(["figure1", "--n-max", "3"]) == 0
-    out = capsys.readouterr().out
-    _, rows = parse_csv(out)
-    assert [r["n"] for r in rows] == [1, 2, 3]
-    assert rows[2]["separable_ratio"] == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_figure1_domain_errors_exit_2(capsys):
@@ -212,17 +223,6 @@ def test_sweep_deterministic_output(tmp_path, capsys):
     assert first == (tmp_path / "b.csv").read_bytes()
 
 
-def test_sweep_csv_round_trip(tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    assert main(["sweep", "--family", "entangled", "--n", "2:4",
-                 "--out", str(out)]) == 0
-    columns, rows = parse_csv(out)
-    assert columns[0] == "family"
-    assert [r["n"] for r in rows] == [2, 3, 4]
-    for row in rows:
-        assert row["ratio_to_bound"] == pytest.approx(1.0, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # protocol and verify subcommands
 # ---------------------------------------------------------------------------
@@ -272,13 +272,14 @@ def test_protocol_zero_gap_ladder(kind, capsys):
 
 
 def test_verify_subcommand(monkeypatch, capsys, verify_all):
-    # the checks themselves run once, in the session's shared verify run; the
-    # entanglement checks draw no random numbers, so that run stands for seed 7
+    # the checks themselves run once, in the session's shared verify run at
+    # DEFAULT_SEED; the stub hands its entanglement results back as the seed 7
+    # run's, and the test reads only how the report prints them
     calls = []
 
     def shared_run(suite, seed):
         calls.append((suite, seed))
-        return [r for r in verify_all.results if r.name.startswith(f"{suite}/")]
+        return verify_all.suite(suite)
 
     monkeypatch.setattr(cli, "run_suite", shared_run)
     assert main(["verify", "--suite", "entanglement", "--seed", "7"]) == 0
@@ -295,8 +296,7 @@ def test_verify_subcommand(monkeypatch, capsys, verify_all):
 
 
 def test_verify_json_report(monkeypatch, capsys, verify_all):
-    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
-        r for r in verify_all.results if r.name.startswith(f"{suite}/")])
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: verify_all.suite(suite))
     assert main(["verify", "--suite", "entanglement", "--seed", "7", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 7
@@ -317,13 +317,31 @@ def test_verify_json_report(monkeypatch, capsys, verify_all):
         {"name": "bounds/broken", "passed": False, "detail": "boom", "seconds": 0.0}]
 
 
+@pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_a_check_draws_the_same_alone_as_under_all(suite, seed, monkeypatch):
+    # every spy fails with its generator's first draw, so each report line
+    # carries the draw its check was given
+    def spy(rng):
+        raise AssertionError(f"drew {rng.uniform()!r}")
+
+    monkeypatch.setattr(verify, "SUITES", {
+        group: tuple((name, spy) for name, _ in checks) for group, checks in verify.SUITES.items()})
+    alone = run_suite(suite, seed)
+    under_all = [r for r in run_suite("all", seed) if r.name.startswith(f"{suite}/")]
+    assert [r.name for r in alone] == [f"{suite}/{name}" for name, _ in verify.SUITES[suite]]
+    assert [r.detail for r in alone] == [r.detail for r in under_all]
+    assert all(not r.passed and r.detail.startswith("AssertionError: drew ") for r in alone)
+
+
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
 
 def test_config_file_sets_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-max = 3\nbeta = 0.5  # half the default\n", encoding="utf-8")
+    cfg.write_text("# figure1 at half the default beta\n\nn-max = 3\nbeta = 0.5  # half the default\n",
+                   encoding="utf-8")
     assert main(["figure1", "--config", str(cfg)]) == 0
     _, rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 3  # n-max from the config
@@ -360,8 +378,7 @@ def test_config_values_take_the_flags_types(tmp_path, monkeypatch, capsys, verif
     assert [(r["n"], r["target_bias"]) for r in rows] == [
         (3, -0.3), (3, 0.1), (4, -0.3), (4, 0.1)]
 
-    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [
-        r for r in verify_all.results if r.name.startswith(f"{suite}/")])
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: verify_all.suite(suite))
     cfg.write_text("suite = entanglement\njson = true\n", encoding="utf-8")
     assert main(["verify", "--config", str(cfg)]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 3
@@ -443,3 +460,59 @@ def test_float_options_read_exponent_negatives(name, flag, value, capsys):
     assert spaced == joined
     if (name, flag, value) == ("protocol", "--target-bias", "-1e-3"):
         assert spaced[0] == 0 and "achieved_bias = -0.001" in spaced[1]
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+# ---------------------------------------------------------------------------
+
+QUBITS = SystemSpec.qubits(4, 1.0)
+QUTRITS = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
+
+# a call at each edge no other test reaches -> the error it raises, and the
+# command line that reaches it, if any
+EDGE_INPUTS = {
+    "witness-on-qutrits": (lambda: npt_witness_half_split(QUTRITS, 1.0, 0.3),
+                           UnsupportedError, None),
+    "bath-bound-at-beta-0": (lambda: bath_extractable_work(SystemSpec.qubits(2, 0.0), 0.0),
+                             DomainError, None),
+    "energy-count-negative-n": (lambda: count_global_energies(-1, 2), DomainError, None),
+    "dicke-formula-on-qutrits": (lambda: dicke_mixture_work_formula(QUTRITS),
+                                 UnsupportedError, None),
+    "sweep-unknown-family": (lambda: SweepConfig(family="ghz", n_values=(2,)),
+                             DomainError, None),
+    "sweep-no-sizes": (lambda: SweepConfig(family="dicke", n_values=()), DomainError, None),
+    "fixed-entropy-without-total": (lambda: cli.build_family_state(QUBITS, "fixed-entropy"),
+                                    DomainError,
+                                    ["ergotropy", "--family", "fixed-entropy", "--n", "3"]),
+    "unknown-state-family": (lambda: cli.build_family_state(QUBITS, "ghz"), DomainError, None),
+    "empty-n-range": (lambda: cli._parse_n_range("5:3"), DomainError,
+                      ["sweep", "--family", "dicke", "--n", "5:3"]),
+    "ladder-length": (lambda: SystemSpec(n=2, d=3, local_energies=(0.0, 1.0), beta=1.0),
+                      DomainError, None),
+    "state-not-square": (lambda: DensityMatrix(np.ones((2, 3)) / 2), ShapeError, None),
+    "populations-not-a-vector": (lambda: DensityMatrix.from_diagonal([[1.0]]),
+                                 ShapeError, None),
+    "structured-unitary-dimension": (
+        lambda: apply_unitary(product_thermal_state(QUBITS),
+                              pair_rotation_unitary(SystemSpec.qubits(3, 1.0), 0.3)),
+        ShapeError, None),
+    "dense-unitary-not-square": (
+        lambda: apply_unitary(DensityMatrix.from_diagonal([1.0, 0.0]), np.eye(2)[:1]),
+        ShapeError, None),
+    "bias-of-a-qutrit": (lambda: thermal_params(QUTRITS).bias, UnsupportedError, None),
+    "hamiltonian-length": (lambda: ergotropy(product_thermal_state(QUBITS), [0.0, 1.0]),
+                           ShapeError, None),
+    "inversion-level-n-half": (lambda: bias_after_inversion(QUBITS, 0.2, 2), DomainError, None),
+    "excitation-above-1": (lambda: bias_after_inversion(QUBITS, 1.5, 0), DomainError, None),
+}
+
+
+@pytest.mark.parametrize("call, error, argv", EDGE_INPUTS.values(), ids=EDGE_INPUTS)
+def test_edge_inputs_raise_their_typed_error(call, error, argv, capsys):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error
+    if argv is not None:  # the CLI reaches this one: usage or domain error, exit 2
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"

@@ -95,13 +95,6 @@ def test_pure_state_qudit_marginals():
     assert_locally_thermal(entangled_pure_state(spec), spec)
 
 
-def test_pure_state_extracts_everything():
-    for n in (2, 4, 6):
-        spec = SystemSpec.qubits(n, 1.0)
-        report = ergotropy(entangled_pure_state(spec), build_hamiltonian(spec), spec)
-        assert abs(report.ergotropy - report.bound_total_energy) <= 1e-9
-
-
 def test_gibbs_vector_is_normalized():
     spec = SystemSpec(n=3, d=3, local_energies=(0.0, 0.5, 1.5), beta=1.1)
     vec = gibbs_weighted_superposition(spec)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ergokit import (
     DensityMatrix,
@@ -176,10 +176,6 @@ def test_pure_state_route_matches_dense_route():
 # ---------------------------------------------------------------------------
 # is_passive
 # ---------------------------------------------------------------------------
-
-def test_is_passive_thermal_product(qubit_pair):
-    assert is_passive(product_thermal_state(qubit_pair), build_hamiltonian(qubit_pair))
-
 
 def test_is_passive_rejects_population_inversion():
     rho = DensityMatrix.from_diagonal([0.2, 0.8])
@@ -497,6 +493,18 @@ def test_beta_for_entropy_meets_its_stopping_rule_and_agrees_with_bisection(
     assert abs(beta - reference) <= 1e-9 * reference + slack
 
 
+@settings(max_examples=300)
+@given(spec=LADDERS, beta=st.sampled_from([0.01, 30.0]) | st.floats(0.0, 700.0))
+@example(spec=ladder_with_gaps((1.0,)), beta=0.01)
+def test_beta_for_entropy_returns_the_reference_beta_at_its_entropy(spec, beta):
+    spec = SystemSpec(n=1, d=spec.d, local_energies=spec.local_energies, beta=beta)
+    s = thermal_entropy(spec)
+    gap = spec.energy_gap if spec.energy_gap > 0.0 else 1.0
+    # strictly between the sentinel's entropy and ln d, where the solve iterates
+    assume(thermal_entropy(spec, BETA_MAX_SCALE / gap) < s and math.log(spec.d) - s > 1e-12)
+    assert beta_for_entropy(spec, s).beta_prime == beta
+
+
 @pytest.mark.parametrize("gaps", [(1.0,), (2.0,), (1.0, 0.0), (1.0, 1.0), (0.3, 0.7, 0.0),
                                   (1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 0.0, 0.0, 1.0)])
 def test_beta_for_entropy_edge_cases(gaps):
@@ -562,9 +570,11 @@ def test_thermal_entropy_and_figure1_at_large_beta_match_closed_forms(beta_e):
 
 @pytest.mark.parametrize("beta_e", [0.01, 1.0, 5.0, 20.0, 30.0, 35.0])
 def test_figure1_cells_match_the_decimal_oracle(beta_e):
-    # n = 1 is left out: its entropy bound is exactly 0, which a flat S
-    # near beta' = 0 (beta E = 0.01) leaves at a rounding residue
-    for row in figure1_rows(beta_e, 60)[1:]:
+    rows = figure1_rows(beta_e, 60)
+    # n = 1: the bound's state is the thermal one, and beta_for_entropy
+    # returns the reference beta itself; the oracle's bisection leaves a residue
+    assert rows[0].entropy_bound_ratio == 0.0
+    for row in rows[1:]:
         cells = (row.entangled_ratio, row.separable_ratio, row.entropy_bound_ratio)
         for value, exact in zip(cells, figure1_ratios(beta_e, row.n)):
             true = float(exact)
@@ -642,14 +652,3 @@ def test_separable_limit_matches_construction():
         spec = SystemSpec.qubits(n, 0.8)
         work = ergotropy(separable_optimal_state(spec), build_hamiltonian(spec)).ergotropy
         assert abs(work - separable_work_limit(spec)) <= 1e-10
-
-
-def test_locally_thermal_work_respects_total_energy_bound(rng):
-    spec = SystemSpec.qubits(3, 1.0)
-    ham = build_hamiltonian(spec)
-    bound = 3 * thermal_params(spec).mean_energy
-    sep = separable_optimal_state(spec).entries
-    product = product_thermal_state(spec).entries
-    for t in rng.uniform(size=6):
-        mixed = DensityMatrix(t * sep + (1 - t) * product)
-        assert ergotropy(mixed, ham).ergotropy <= bound + 1e-9

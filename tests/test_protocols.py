@@ -34,12 +34,6 @@ from strategies import specs
 # rotation structure
 # ---------------------------------------------------------------------------
 
-def test_two_qubit_rotation_acts_on_extreme_pair_only():
-    # the weight-1 indices (01, 10) pair among themselves and stay untouched
-    unitary = pair_rotation_unitary(SystemSpec.qubits(2, 1.0), 0.25)
-    assert unitary.rotations == ((0, 3, 0.25),)
-
-
 def test_zero_angle_is_identity():
     spec = SystemSpec.qubits(3, 1.0)
     mat = pair_rotation_unitary(spec, 0.0).materialize()
@@ -54,14 +48,6 @@ def test_odd_n_rotation_count_and_pairing():
     for a, b, _ in unitary.rotations:
         assert b == (2 ** 3 - 1) ^ a
         assert weights[a] < 1.5
-
-
-def test_even_n_leaves_half_weight_shell_alone():
-    spec = SystemSpec.qubits(4, 1.0)
-    unitary = pair_rotation_unitary(spec, 0.4)
-    assert len(unitary.rotations) == (16 - math.comb(4, 2)) // 2
-    touched = {i for a, b, _ in unitary.rotations for i in (a, b)}
-    assert all(hamming_weights(4)[i] != 2 for i in touched)
 
 
 def test_rotation_requires_qubits():
@@ -179,13 +165,6 @@ def test_bias_shift_worked_example_n8():
 # ---------------------------------------------------------------------------
 # greedy inversion sequences
 # ---------------------------------------------------------------------------
-
-def test_sequence_with_target_at_source_is_empty():
-    spec = SystemSpec.qubits(8, 1.0)
-    result = inversion_sequence_to_bias(spec, 1.0, thermal_params(spec, 1.0).bias)
-    assert result.levels == ()
-    assert result.residual <= 1e-12
-
 
 def test_sequence_reversal_residual_shrinks_with_n():
     residuals = {}
