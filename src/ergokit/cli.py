@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .analysis import Bipartition, min_pt_eigenvalue
-from .core import SystemSpec, build_hamiltonian, von_neumann_entropy
+from .core import SystemSpec, _check_bytes, build_hamiltonian, von_neumann_entropy
 from .errors import (
     CapacityError,
     DomainError,
@@ -70,8 +70,10 @@ class SweepConfig:
 
 
 def _spec(n: int, d: int, beta: float, ladder) -> SystemSpec:
-    energies = tuple(float(x) for x in ladder) if ladder else tuple(float(a) for a in range(d))
-    return SystemSpec(n=n, d=d, local_energies=energies, beta=beta)
+    if not ladder:  # the default ladder 0, 1, ..., d - 1, sized before it is built
+        _check_bytes(64 * d, "the default energy ladder")
+        ladder = range(d)
+    return SystemSpec(n=n, d=d, local_energies=tuple(float(x) for x in ladder), beta=beta)
 
 
 def build_family_state(spec: SystemSpec, family: str, total_entropy=None):

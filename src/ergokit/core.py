@@ -133,20 +133,29 @@ def hamming_weights(n: int) -> np.ndarray:
 # density matrices
 # ---------------------------------------------------------------------------
 
+def _power_of_two(size: int) -> str:
+    """size as 2^k, k rounded to a tenth unless exact: d^n in decimal can pass
+    Python's limit on the digits of an int printed as a string."""
+    if size & (size - 1) == 0:  # a power of two, or 0
+        return f"2^{size.bit_length() - 1}" if size else "0"
+    return f"~2^{math.log2(size):.1f}"
+
+
 def _check_bytes(size: int, what: str):
     """Raise CapacityError before building arrays of size bytes over DENSE_BYTES_MAX."""
     if size > DENSE_BYTES_MAX:
-        raise CapacityError(f"{what} needs {size} bytes, over the limit of {DENSE_BYTES_MAX}")
+        raise CapacityError(f"{what} needs {_power_of_two(size)} bytes, "
+                            f"over the limit of {_power_of_two(DENSE_BYTES_MAX)}")
 
 
 def _check_dense_size(dim: int):
     """Raise CapacityError before a dense complex dim x dim array over DENSE_BYTES_MAX."""
-    _check_bytes(16 * dim * dim, f"a dense {dim} x {dim} matrix")
+    _check_bytes(16 * dim * dim, f"a dense {_power_of_two(dim)} x {_power_of_two(dim)} matrix")
 
 
 def _check_vector_size(dim: int):
     """Raise CapacityError before state-sized vectors, 64 bytes an index, over DENSE_BYTES_MAX."""
-    _check_bytes(64 * dim, f"a state of dimension {dim}")
+    _check_bytes(64 * dim, f"a state of dimension {_power_of_two(dim)}")
 
 
 def _subsystem_index(index, n: int) -> int:

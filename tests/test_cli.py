@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ergokit import (
+    CapacityError,
     DensityMatrix,
     DomainError,
     NumericalError,
@@ -20,6 +21,7 @@ from ergokit import (
     bath_extractable_work,
     bias_after_inversion,
     cli,
+    core,
     count_global_energies,
     dicke_mixture_work_formula,
     ergotropy,
@@ -196,10 +198,30 @@ def test_sweep_infeasible_cells_are_recorded():
 
 
 def test_sweep_sizes_the_full_basis_in_bytes():
-    # state-sized vectors cost 64 bytes an index: n = 22 fits 1 GiB, n = 25 does not
-    ok, refused = sweep_rows(SweepConfig(family="separable", n_values=(22, 25)))
+    # state-sized vectors cost 64 bytes an index: n = 22 fits 1 GiB, n = 25 does
+    # not; 2^20006 and 16 C(16000, 8000), past 4300 decimal digits, still print
+    ok, *refused = sweep_rows(SweepConfig(family="separable", n_values=(22, 25, 20000)))
+    refused += sweep_rows(SweepConfig(family="dicke", n_values=(8000,)))
     assert ok["status"] == "ok" and ok["ergotropy"] > 0.0
-    assert refused["status"] == "infeasible" and "bytes" in refused["note"]
+    for row in refused:
+        assert row["status"] == "infeasible" and "bytes" in row["note"]
+    assert refused[1]["note"] == ("a state of dimension 2^20000 needs 2^20006 bytes; "
+                                  "over the limit of 2^30")
+
+
+def test_the_default_ladder_is_sized_before_it_is_built(monkeypatch, capsys):
+    specs = []
+    monkeypatch.setattr(cli, "SystemSpec", lambda **kw: specs.append(kw))
+    monkeypatch.setattr(core, "DENSE_BYTES_MAX", 64 * 4 - 1)
+    with pytest.raises(CapacityError, match="ladder"):
+        cli._spec(2, 4, 1.0, None)
+    assert main(["ergotropy", "--family", "dicke", "--n", "2", "--d", "4"]) == 2
+    assert "ladder" in capsys.readouterr().err
+    row, = sweep_rows(SweepConfig(family="dicke", n_values=(2,), d=4))
+    assert row["status"] == "infeasible" and "ladder" in row["note"]
+    assert specs == []
+    cli._spec(2, 3, 1.0, None)
+    assert specs[0]["local_energies"] == (0.0, 1.0, 2.0)
 
 
 def test_sweep_protocol_residual_column():
@@ -505,6 +527,9 @@ EDGE_INPUTS = {
                            ShapeError, None),
     "inversion-level-n-half": (lambda: bias_after_inversion(QUBITS, 0.2, 2), DomainError, None),
     "excitation-above-1": (lambda: bias_after_inversion(QUBITS, 1.5, 0), DomainError, None),
+    "verify-unknown-suite": (lambda: run_suite("bogus"), DomainError, None),
+    "verify-negative-seed": (lambda: run_suite(seed=-1), DomainError,
+                             ["verify", "--seed", "-1"]),
 }
 
 

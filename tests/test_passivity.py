@@ -1,5 +1,6 @@
 """Passive states, ergotropy, entropy inversion and the work bounds."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -259,40 +260,6 @@ def test_verify_permutation_table_is_in_itertools_order(m):
     assert np.array_equal(_permutation_table(m), _permutations(m))
 
 
-def former_equal_energy_pair(rng, hamiltonian: np.ndarray, dim: int):
-    """verify.equal_energy_pair as it was, building a state for every draw."""
-    def shrink(rho, scale):
-        return DensityMatrix(scale * rho.entries + (1 - scale) * np.eye(dim) / dim)
-
-    mean = float(hamiltonian.mean())
-    rho1 = random_density_matrix(rng, dim)
-    e1 = float(rho1.diagonal @ hamiltonian)
-    for _ in range(500):
-        rho2 = random_density_matrix(rng, dim)
-        e2 = float(rho2.diagonal @ hamiltonian)
-        if (e1 - mean) * (e2 - mean) > 0:
-            break
-    if abs(e1 - mean) >= abs(e2 - mean):
-        rho1 = shrink(rho1, (e2 - mean) / (e1 - mean))
-    else:
-        rho2 = shrink(rho2, (e1 - mean) / (e2 - mean))
-    return rho1, rho2
-
-
-@pytest.mark.parametrize("spec", [SystemSpec.qubits(2, 1.0), SystemSpec.qubits(3, 1.0),
-                                  SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 1.6), beta=0.8),
-                                  SystemSpec.qubits(4, 1.0)], ids=lambda spec: f"dim{spec.dim}")
-def test_verify_equal_energy_pair_draws_the_former_states(spec):
-    ham = build_hamiltonian(spec)
-    for seed in range(20):
-        rng, former_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        arrays = verify.equal_energy_pair(rng, ham, spec.dim)
-        states = former_equal_energy_pair(former_rng, ham, spec.dim)
-        for arr, rho in zip(arrays, states):
-            assert arr.tobytes() == rho.entries.tobytes()
-        assert rng.uniform() == former_rng.uniform()
-
-
 def test_verify_ergotropy_convexity_builds_three_states_a_trial(monkeypatch):
     built = []
     init = DensityMatrix.__init__
@@ -304,6 +271,17 @@ def test_verify_ergotropy_convexity_builds_three_states_a_trial(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__init__", counted)
     verify.check_ergotropy_convexity(np.random.default_rng(0))
     assert len(built) == 3 * 500
+
+
+def test_verify_ergotropy_convexity_fails_on_a_concave_work(monkeypatch):
+    # negated work is concave, so on general pairs the check must catch it
+    def negated(rho, hamiltonian):
+        report = ergotropy(rho, hamiltonian)
+        return dataclasses.replace(report, ergotropy=-report.ergotropy)
+
+    monkeypatch.setattr(verify, "ergotropy", negated)
+    with pytest.raises(AssertionError, match="convexity violated"):
+        verify.check_ergotropy_convexity(np.random.default_rng(0))
 
 
 @settings(max_examples=200)
