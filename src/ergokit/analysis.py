@@ -19,7 +19,7 @@ from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
                    _spectrum_entropy, _stack_eigenvalues, _subsystem_index,
                    von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
-from .passivity import _checked_hamiltonian, thermal_entropy, thermal_params
+from .passivity import _energy, _level_table, thermal_entropy, thermal_params
 
 NPT_EIGENVALUE_TOL = -1e-10
 # bytes per stored block entry that min_pt_eigenvalue's edge list and moved
@@ -142,8 +142,7 @@ def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
     """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
     if not beta > 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
-    energy = float(rho.diagonal @ _checked_hamiltonian(rho, hamiltonian))
-    return energy - von_neumann_entropy(rho) / beta
+    return _energy(rho, _level_table(rho, hamiltonian)) - von_neumann_entropy(rho) / beta
 
 
 def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:

@@ -6,14 +6,14 @@ subsystems with a non-interacting total Hamiltonian.
 
 A state is stored as populations plus coherence blocks: the diagonal of
 every basis index outside a block, and dense Hermitian blocks on
-disjoint index sets.  The diagonal, entangled and pair-rotated states
-hold O(dim) numbers this way and the Dicke mixture one block per
-excitation shell, a single number broadcast over the block, so building,
-rotating, tracing and solving the package's states never touches a
-dim x dim array.  A caller's dense array
-is split into the connected components of its nonzero entries, one block
-each, and takes the same paths as any other state.  The spectrum is solved
-block by block and cached on the state, so each state is solved once.
+disjoint index sets.  The product and pair-rotated states hold O(dim)
+numbers this way and the Dicke mixture one block per excitation shell, a
+single number broadcast over the block; the separable, entangled and
+fixed-entropy states are records of a few class populations or one block
+(_Record), read against energy levels by class (_Levels).  A caller's
+dense array is split into the connected components of its nonzero
+entries, one block each.  The spectrum is solved block by block and
+cached on the state, so each state is solved once.
 
 Conventions
 -----------
@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,8 +70,8 @@ class SystemSpec:
 
     local_energies is the common single-subsystem ladder (ground energy
     zero, non-decreasing); beta is the reference inverse temperature in
-    units of 1/energy.  Arrays over the dim basis states are sized
-    against DENSE_BYTES_MAX where they are built, not here.
+    units of 1/energy; n and d are integers, not bools, and beta is real.
+    Arrays over the dim basis states are sized where they are built.
     """
 
     n: int
@@ -79,6 +80,12 @@ class SystemSpec:
     beta: float
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.d) is not int or type(self.beta) is not float:
+            object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
+            object.__setattr__(self, "d", _integer(self.d, "local dimension"))
+            if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Real):
+                raise DomainError(f"inverse temperature {self.beta!r} is not a real number")
+            object.__setattr__(self, "beta", float(self.beta))
         if self.n < 1:
             raise DomainError(f"subsystem count must be positive, got {self.n}")
         if self.d < 2:
@@ -158,14 +165,20 @@ def _check_vector_size(dim: int):
     _check_bytes(64 * dim, f"a state of dimension {_power_of_two(dim)}")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; DomainError for a bool or a non-integer."""
+    try:
+        number = operator.index(value)  # int or a NumPy integer, not a float or a string
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise DomainError(f"{what} {value!r} is not an integer")
+    return number
+
+
 def _subsystem_index(index, n: int) -> int:
     """index as a 1-based subsystem index of n; DomainError for a bool or a non-integer."""
-    try:
-        site = operator.index(index)  # int or a NumPy integer, not a float or a string
-    except TypeError:
-        site = None
-    if site is None or isinstance(index, bool):
-        raise DomainError(f"subsystem index {index!r} is not an integer")
+    site = _integer(index, "subsystem index")
     if not 1 <= site <= n:
         raise DomainError(f"subsystem index {site} outside [1, {n}]")
     return site
@@ -204,6 +217,44 @@ class _Parts:
         self.groups = tuple(groups)
 
 
+class _Record:
+    """A state invariant under permuting the subsystems, stored by class.
+
+    A class is the set of basis states with c[a] subsystems at each level
+    a: the shell (n - k, k) of k excited qubits, or for qudits one of the
+    single states |a...a>.  The short Python list counts holds distinct
+    classes c, and class i population pops[i], spread evenly over its
+    sizes[i] members; blocks lists (counts, values) pairs, each a Hermitian
+    k x k block on the states |a...a> of k classes not in counts.
+    """
+
+    __slots__ = ("spec", "counts", "pops", "sizes", "blocks")
+
+    def __init__(self, spec: SystemSpec, counts, pops, blocks=()):
+        self.spec, self.counts, self.pops, self.blocks = spec, counts, pops, blocks
+        self.sizes = [math.factorial(spec.n) // math.prod(map(math.factorial, c)) for c in counts]
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, descending: class and block values by multiplicity, then zeros."""
+        pairs = [(pop / size, size) for pop, size in zip(self.pops, self.sizes)]
+        for _, block in self.blocks:
+            pairs += [(value, 1) for value in _stack_eigenvalues(block[None])[0].tolist()]
+        pairs.append((0.0, self.spec.dim - sum(size for _, size in pairs)))
+        pairs.sort(reverse=True)
+        return np.repeat(np.array([v for v, _ in pairs]), np.array([m for _, m in pairs]))
+
+    def parts(self) -> _Parts:
+        """The full-basis parts: each class's population per member on its members."""
+        n, dim = self.spec.n, self.spec.dim
+        single = (dim - 1) // (self.spec.d - 1)  # |a...a> is at linear index a * single
+        pops = np.zeros(dim)
+        for counts, pop, size in zip(self.counts, self.pops, self.sizes):
+            at = counts.index(n) * single if size == 1 else hamming_weights(n) == counts[1]
+            pops[at] = pop / size
+        return _Parts(pops, [(np.array([[c.index(n) for c in counts]]) * single, values[None])
+                             for counts, values in self.blocks])
+
+
 def _single_block(arr: np.ndarray) -> _Parts:
     """Parts of a dense matrix: one block over every index."""
     dim = arr.shape[0]
@@ -218,14 +269,14 @@ def _dense_labels(arr: np.ndarray):
     so only its links and those of the other indices are labelled.  None
     when a row has no zero (the first row is looked at first), or when the
     labelling, at 48 bytes a link, would exceed DENSE_BYTES_MAX.  An array
-    whose nonzero entries all lie on the diagonal labels every index apart
-    after one count, without the dim x dim link mask.
+    whose nonzero entries all lie on the diagonal labels no index (an empty
+    array) after one count, without the dim x dim link mask.
     """
     dim = arr.shape[0]
     if np.count_nonzero(arr[:1]) == dim:
         return None
     if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
-        return np.arange(dim)
+        return np.arange(0)
     linked = arr != 0
     linked |= linked.T
     np.fill_diagonal(linked, False)
@@ -250,18 +301,20 @@ def _dense_parts(arr: np.ndarray) -> _Parts:
     label = _dense_labels(arr)
     if label is None:
         return _Parts(np.zeros(dim), [(index, arr.copy()[None])])
-    member = np.bincount(label, minlength=dim)[label] > 1
+    member = np.bincount(label, minlength=dim)[label] > 1 if label.size else np.zeros(dim, bool)
     diag = arr.diagonal()
     with np.errstate(invalid="ignore"):  # inf - inf: the NaN defect fails the test below
         defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
     if not defect <= HERMITICITY_TOL:
         raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
+    if not label.size:  # nothing off the diagonal: populations only
+        return _Parts(diag.real.copy())
     stacks = _component_blocks(label, member, diag, [(index, arr[None])])[0]
     return _Parts(np.where(member, 0.0, diag.real), stacks.values())
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace operator on the global space, stored in parts.
+    """Hermitian, unit-trace operator on the global space, stored in parts or by class.
 
     populations is the diagonal of every index outside a block (zero at
     block indices).  groups is a tuple of (index, values) pairs: index has
@@ -275,39 +328,54 @@ class DensityMatrix:
     populations.  entries is the dense matrix, assembled from the parts on
     each access (read-only); it raises CapacityError over DENSE_BYTES_MAX.
 
-    Finite entries, Hermiticity and trace are verified at construction;
-    positivity is verified wherever eigenvalues are computed (eigenvalues
+    The families' permutation-invariant states are stored by class (a
+    _Record) instead, and expanded into populations and groups on first
+    access; their spectrum and energy are read from the classes.
+
+    Finite entries, Hermiticity, trace and populations (every one, or every
+    class's, at least -1e-10) are verified at construction; positivity of
+    the blocks is verified wherever eigenvalues are computed (eigenvalues
     below -1e-10 raise; smaller negative ones are kept as they are, and the
     entropy skips them).  States compare and hash by identity.
     """
 
     def __init__(self, entries):
-        if isinstance(entries, _Parts):
-            parts = entries
-        else:
+        record = entries if isinstance(entries, _Record) else None
+        if record is None and not isinstance(entries, _Parts):
             arr = np.asarray(entries, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
-            parts = _dense_parts(arr)
-        # a non-finite population makes the trace non-finite
-        trace = float(parts.populations.sum())
-        for index, values in parts.groups:
+            entries = _dense_parts(arr)
+        if record is None:
+            pops, blocks, self.dim = entries.populations, entries.groups, entries.populations.size
+            trace, lowest = float(np.add.reduce(pops)), float(np.minimum.reduce(pops, initial=0.0))
+            pops.setflags(write=False)
+            self.populations, self.groups = pops, blocks
+        else:  # a few classes, summed in Python
+            trace, lowest = sum(record.pops), min(record.pops, default=0.0)
+            blocks, self.dim = record.blocks, record.spec.dim
+        for index, values in blocks:
             defect = _hermiticity_defect(values)
             if not defect <= HERMITICITY_TOL:
                 raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-            trace += float(values.diagonal(axis1=1, axis2=2).real.sum())
-            index.setflags(write=False)
+            trace += float(values.diagonal(axis1=-2, axis2=-1).real.sum())
             values.setflags(write=False)
-        if not abs(trace - 1.0) <= TRACE_TOL:
+            if record is None:
+                index.setflags(write=False)
+        if not abs(trace - 1.0) <= TRACE_TOL:  # a non-finite population fails here
             raise ValidityError(f"trace must be 1, got {trace!r}")
-        parts.populations.setflags(write=False)
-        self.populations = parts.populations
-        self.groups = parts.groups
-        self._spectrum = None
+        if lowest < -PSD_TOL:
+            raise ValidityError(f"state has population {lowest:.3e} below -{PSD_TOL}")
+        self._record, self._spectrum = record, None
 
-    @property
-    def dim(self) -> int:
-        return self.populations.size
+    def __getattr__(self, name):  # a record's populations and groups, on first access
+        record = self.__dict__.get("_record")
+        if record is None or name not in ("populations", "groups"):
+            raise AttributeError(name)
+        parts = record.parts()
+        parts.populations.setflags(write=False)
+        self.populations, self.groups = parts.populations, parts.groups
+        return getattr(self, name)
 
     @property
     def entries(self) -> np.ndarray:
@@ -389,6 +457,8 @@ class StructuredUnitary:
             raise ValidityError("rotation pairs must be disjoint")
         # math.cos and math.sin once per distinct angle
         distinct, where = np.unique(angles, return_inverse=True)
+        if not np.isfinite(distinct).all():  # -inf sorts first, inf and nan last
+            raise DomainError(f"rotation angles must be finite, got {distinct[[0, -1]]}")
         cos = np.array([math.cos(t) for t in distinct])[where]
         sin = np.array([math.sin(t) for t in distinct])[where]
         for value in (pairs, angles, cos, sin):
@@ -431,6 +501,57 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     for _ in range(spec.n):
         diag = (diag[:, None] + ladder[None, :]).ravel()
     return diag
+
+
+class _Levels:
+    """A diagonal Hamiltonian as a level table: classes of equal energy.
+
+    Class i has energy energies[i] and sizes[i] basis states.  The table of
+    a spec has one class per composition c of n into the d levels, energy
+    sum_a c_a e_a and multinomial size, ascending (qubit shell k is class
+    k); an energy vector is a table with every basis index its own class.
+    """
+
+    __slots__ = ("energies", "sizes", "spec", "dim")
+
+    def __init__(self, energies: np.ndarray, sizes=None, spec=None):
+        self.energies, self.sizes, self.spec = energies, sizes, spec
+        self.dim = energies.size if spec is None else spec.dim
+
+    @classmethod
+    def of_spec(cls, spec: SystemSpec) -> "_Levels":
+        """The classes of a spec: qubit shell k at index k; for qudits, level by level."""
+        n = spec.n
+        if spec.d == 2:
+            return cls(np.arange(n + 1) * spec.energy_gap,
+                       np.array([math.comb(n, k) for k in range(n + 1)]), spec)
+        fact = np.cumprod(np.maximum(np.arange(n + 1.0), 1.0))  # k!, exact while under 2^53
+        # level by level, each composition takes c = 0..left more subsystems
+        energy, weight, left, done = np.zeros(1), np.ones(1), np.array([n]), []
+        for level in spec.local_energies[1:]:
+            rows = np.repeat(np.arange(left.size), left + 1)
+            c = np.arange(rows.size) - np.searchsorted(rows, rows)
+            energy, weight, left = energy[rows] + c * level, weight[rows] * fact[c], left[rows] - c
+            done.append((energy[left == 0], weight[left == 0]))
+            energy, weight, left = energy[left > 0], weight[left > 0], left[left > 0]
+        energy = np.concatenate([energy] + [e for e, _ in done])
+        weight = np.concatenate([weight * fact[left]] + [w for _, w in done])
+        order = np.argsort(energy, kind="stable")
+        return cls(energy[order], np.rint(fact[n] / weight[order]).astype(np.int64), spec)
+
+    def ascending(self) -> np.ndarray:
+        """The energy of every basis state, ascending."""
+        if self.sizes is None:
+            return np.sort(self.energies, kind="stable")
+        return np.repeat(self.energies, self.sizes)
+
+    def per_index(self) -> np.ndarray:
+        """The energy of every basis index, in basis order."""
+        if self.spec is None:
+            return self.energies
+        if self.spec.d == 2:
+            return self.energies[hamming_weights(self.spec.n)]
+        return build_hamiltonian(self.spec)
 
 
 def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> DensityMatrix:
@@ -495,6 +616,8 @@ def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
     stack of one kind is solved as it is, without a copy.  The imaginary
     parts are read once.
     """
+    if stack.dtype.kind != "c":
+        return _eigvalsh(stack, False)
     complex_ = stack.imag.any(axis=(1, 2))
     if complex_.all() or not complex_.any():
         return _eigvalsh(stack, bool(complex_.any()))
@@ -584,12 +707,16 @@ def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, sorted descending, as a read-only array.
 
     The populations outside blocks are eigenvalues as they are; each block
-    group is solved in one stacked call.  Solved on the first call and
+    group is solved in one stacked call; a state stored by class repeats
+    each class's and block's values by multiplicity.  Solved on the first call and
     cached on the state, so entropy, ergotropy and the passive state of one
     state share one solve.
     """
     if rho._spectrum is None:
-        vals = np.sort(_parts_eigenvalues(rho.populations, rho.groups))[::-1]
+        if rho._record is not None:
+            vals = rho._record.spectrum()
+        else:
+            vals = np.sort(_parts_eigenvalues(rho.populations, rho.groups))[::-1]
         if vals[-1] < -PSD_TOL:
             raise ValidityError(f"state has eigenvalue {vals[-1]:.3e} below -{PSD_TOL}")
         vals.setflags(write=False)

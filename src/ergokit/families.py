@@ -8,6 +8,9 @@ all equal the Gibbs state at the reference inverse temperature:
 * product thermal states at an arbitrary temperature,
 * the Dicke mixture matching the thermal diagonal on qubits,
 * a three-weight diagonal family hitting a prescribed global entropy.
+
+The first two and the last are stored by class (`core._Record`), with
+no vector over the 2^n basis.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix, SystemSpec, _Parts, _check_bytes, _check_vector_size, hamming_weights,
+    DensityMatrix, SystemSpec, _Parts, _Record, _check_bytes, _check_vector_size,
+    hamming_weights,
 )
 from .errors import DomainError, InfeasibilityError, UnsupportedError
-from .passivity import thermal_entropy, thermal_params
+from .passivity import thermal_params
 
 GAMMA_SCAN_STEP = 1e-3
 GAMMA_BISECTION_TOL = 1e-12
@@ -71,7 +75,9 @@ def entangled_pure_state(spec: SystemSpec) -> DensityMatrix:
     """
     if spec.n < 2:
         raise DomainError("local thermality of a pure state requires n >= 2")
-    return DensityMatrix.from_pure(gibbs_weighted_superposition(spec))
+    amp = np.sqrt(thermal_params(spec).populations)
+    _check_vector_size(spec.dim)
+    return DensityMatrix(_Record(spec, (), (), [(_single_states(spec), np.outer(amp, amp))]))
 
 
 def separable_optimal_state(spec: SystemSpec) -> DensityMatrix:
@@ -84,11 +90,12 @@ def separable_optimal_state(spec: SystemSpec) -> DensityMatrix:
         raise DomainError("the correlated mixture requires n >= 2")
     params = thermal_params(spec)
     _check_vector_size(spec.dim)
-    diag = np.zeros(spec.dim)
-    rep = (spec.dim - 1) // (spec.d - 1)
-    for a, pop in enumerate(params.populations):
-        diag[a * rep] = pop
-    return DensityMatrix.from_diagonal(diag)
+    return DensityMatrix(_Record(spec, _single_states(spec), params.populations))
+
+
+def _single_states(spec: SystemSpec) -> list:
+    """The classes of the states |a...a>, a = 0..d-1: all n subsystems at level a."""
+    return [(0,) * a + (spec.n,) + (0,) * (spec.d - 1 - a) for a in range(spec.d)]
 
 
 def product_thermal_diagonal(spec: SystemSpec, beta_prime: float | None = None) -> np.ndarray:
@@ -222,14 +229,13 @@ def diagonal_state_at_entropy(
     _check_vector_size(spec.dim)
     s = float(total_entropy)
     n = spec.n
-    p = thermal_params(spec).populations[1]
-    s_local = thermal_entropy(spec)
+    params = thermal_params(spec)
+    p, s_local = params.populations[1], params.entropy
     if not s_local - 1e-9 <= s <= n * s_local + 1e-9:
         raise DomainError(f"global entropy {s} outside the locally thermal range "
                           f"[S(tau_beta), n S(tau_beta)] = [{s_local!r}, {n * s_local!r}]")
     # a target within the tolerance below a zero minimum is the S = 0 state
     shell = smallest_shell_for_entropy(n, max(s, 0.0))
-    shell_size = math.comb(n, shell)
 
     # weight nonnegativity bounds gamma: top_weight >= 0 and ground_weight >= 0
     hi = min(1.0, n * p / shell if shell else 1.0, n * (1.0 - p) / (n - shell))
@@ -237,12 +243,10 @@ def diagonal_state_at_entropy(
 
     top = p - gamma * shell / n
     ground = 1.0 - p - gamma * (n - shell) / n
-    diag = np.zeros(spec.dim)
-    diag[0] += ground
-    diag[-1] += top
-    if gamma > 0.0:
-        diag[dicke_index_set(n, shell)] += gamma / shell_size
-    return DensityMatrix.from_diagonal(diag), DiagonalFamilyParams(ground, top, gamma, shell)
+    shells = {0: ground, n: top}
+    shells[shell] = shells.get(shell, 0.0) + gamma
+    state = DensityMatrix(_Record(spec, [(n - k, k) for k in shells], list(shells.values())))
+    return state, DiagonalFamilyParams(ground, top, gamma, shell)
 
 
 def _shell_weight(s: float, p: float, n: int, shell: int, hi: float) -> float:

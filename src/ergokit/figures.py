@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SystemSpec
+from .core import SystemSpec, _integer
 from .errors import DomainError
 from .passivity import (
     entropy_constrained_bound,
@@ -37,6 +37,7 @@ class Figure1Row:
 
 def figure1_rows(beta_e: float = 1.0, n_max: int = 20) -> list[Figure1Row]:
     """One row per ensemble size with the three work ratios."""
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     rows = []

@@ -4,9 +4,11 @@ The central quantity is the ergotropy of a state rho under a diagonal
 Hamiltonian H: the energy gap between rho and its passive counterpart,
 obtained by placing the eigenvalues of rho, sorted descending, onto the
 energy levels sorted ascending; the spectrum comes from `state_eigenvalues`,
-solved once per state.  Thermal (Gibbs) states are the completely passive
-reference; the entropy-constrained bound is evaluated by inverting
-the thermal-entropy map with a bracketed Newton iteration.
+solved once per state.  H is an energy vector or a spec's level table
+(`core._Levels`), whose levels are sorted per class, not per basis state.
+Thermal (Gibbs) states are the completely passive reference; the
+entropy-constrained bound is evaluated by inverting the thermal-entropy
+map with a bracketed Newton iteration.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     DensityMatrix,
     ShapeError,
     SystemSpec,
+    _Levels,
     state_eigenvalues,
 )
 from .errors import DomainError, NumericalError, UnsupportedError
@@ -117,7 +120,7 @@ def passive_state(rho: DensityMatrix, hamiltonian) -> DensityMatrix:
     Ties in energy are broken by ascending basis index (stable sort), which
     fixes a deterministic representative without changing the energy.
     """
-    energies = _checked_hamiltonian(rho, hamiltonian)
+    energies = _level_table(rho, hamiltonian).per_index()
     lam = state_eigenvalues(rho)
     order = np.argsort(energies, kind="stable")
     diag = np.empty(rho.dim)
@@ -129,14 +132,15 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
               total_entropy: Optional[float] = None) -> WorkReport:
     """Maximal unitarily extractable work from rho under a diagonal H.
 
-    When spec is given the report also carries the total-energy bound
-    n * E_beta for locally thermal states and the ratio to it; passing
-    total_entropy additionally fills the entropy-constrained bound.
+    The passive energy is the descending spectrum times the ascending
+    levels, each repeated by its size.  When spec is given the report also
+    carries the total-energy bound n * E_beta for locally thermal states
+    and the ratio to it; passing total_entropy additionally fills the
+    entropy-constrained bound.
     """
-    energies = _checked_hamiltonian(rho, hamiltonian)
-    initial = float(rho.diagonal @ energies)
-    lam = state_eigenvalues(rho)
-    passive = float(lam @ np.sort(energies, kind="stable"))
+    levels = _level_table(rho, hamiltonian)
+    initial = _energy(rho, levels)
+    passive = float(state_eigenvalues(rho) @ levels.ascending())
     work = initial - passive
     bound_total = bound_entropy = ratio = None
     if spec is not None:
@@ -162,8 +166,9 @@ def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
     cached spectrum, so coherence too weak to give that much work reads as
     passive.
     """
-    energies = _checked_hamiltonian(rho, hamiltonian)
-    return bool(ergotropy(rho, energies).ergotropy <= 1e-12 * max(1.0, np.abs(energies).max()))
+    levels = _level_table(rho, hamiltonian)
+    return bool(ergotropy(rho, levels).ergotropy
+                <= 1e-12 * max(1.0, np.abs(levels.energies).max()))
 
 
 def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalParams:
@@ -264,12 +269,25 @@ def separable_work_limit(spec: SystemSpec) -> float:
     )
 
 
-def _checked_hamiltonian(rho: DensityMatrix, hamiltonian) -> np.ndarray:
-    energies = np.asarray(hamiltonian, dtype=float).ravel()
-    if energies.size != rho.dim:
+def _level_table(rho: DensityMatrix, hamiltonian) -> _Levels:
+    """hamiltonian, a level table or an energy vector, as a level table of rho's dimension."""
+    levels = hamiltonian if isinstance(hamiltonian, _Levels) else \
+        _Levels(np.asarray(hamiltonian, dtype=float).ravel())
+    if levels.dim != rho.dim:
         raise ShapeError(
-            f"Hamiltonian length {energies.size} does not match state dimension {rho.dim}"
-        )
-    if not np.isfinite(energies).all():
+            f"Hamiltonian length {levels.dim} does not match state dimension {rho.dim}")
+    if levels.spec is None and not np.isfinite(levels.energies).all():  # a spec's are finite
         raise DomainError("Hamiltonian has non-finite energies")
-    return energies
+    return levels
+
+
+def _energy(rho: DensityMatrix, levels: _Levels) -> float:
+    """Tr(rho H): by class for a state stored by class against its spec's table, else by index."""
+    record = rho._record
+    if record is None or levels.spec is None or levels.spec.d != record.spec.d:
+        return float(rho.diagonal @ levels.per_index())
+    weights = list(zip(record.pops, record.counts))
+    for counts, values in record.blocks:
+        weights += zip(values.diagonal().real.tolist(), counts)
+    return float(sum(w * sum(c * e for c, e in zip(counts, levels.spec.local_energies))
+                     for w, counts in weights))

@@ -105,3 +105,16 @@ def figure1_ratios(beta_e: float, n: int) -> tuple[Decimal, Decimal, Decimal]:
         total = n * initial.mean_energy
         return (Decimal(1), (total - initial.populations[1]) / total,
                 1 - final.mean_energy / initial.mean_energy)
+
+
+def qubit_entropy_bound(beta_e: float, n: int, total_entropy: float) -> Decimal:
+    """The entropy-constrained work bound n (E_beta - E_beta') of n unit-gap qubits.
+
+    beta' gives each qubit 1/n of total_entropy, as the bound's product
+    thermal state has.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        ladder = (0.0, 1.0)
+        final = thermal(ladder, qubit_beta_for_entropy(Decimal(total_entropy) / n))
+        return n * (thermal(ladder, beta_e).mean_energy - final.mean_energy)

@@ -17,6 +17,7 @@ from ergokit import (
     ShapeError,
     SystemSpec,
     UnsupportedError,
+    ValidityError,
     apply_unitary,
     bath_extractable_work,
     bias_after_inversion,
@@ -35,7 +36,9 @@ from ergokit.cli import SweepConfig, load_config_file, main, sweep_rows
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.verify import DEFAULT_SEED, CheckResult, run_suite
-from golden_outputs import parse_csv
+from ergokit.reporting import format_value
+from decimal_oracle import qubit_entropy_bound
+from golden_outputs import COMMANDS, parse_csv
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -195,6 +198,28 @@ def test_sweep_infeasible_cells_are_recorded():
     rows = sweep_rows(config)
     assert [r["status"] for r in rows] == ["infeasible", "infeasible", "ok"]
     assert rows[0]["note"]
+
+
+# the qubit family sweeps among the golden commands; the --ppt ones repeat
+# the bound cells of the others
+QUBIT_FAMILY_SWEEPS = sorted(name for name, argv in COMMANDS.items()
+                             if argv[:1] == ["sweep"] and "protocol" not in argv
+                             and "--d" not in argv and "--ppt" not in argv)
+
+
+@pytest.mark.parametrize("name", QUBIT_FAMILY_SWEEPS)
+def test_sweep_bound_entropy_cells_match_the_decimal_oracle(name):
+    args = cli.build_parser().parse_args(COMMANDS[name])
+    config = SweepConfig(family=args.family, n_values=cli._parse_n_range(args.n),
+                         beta=args.beta, total_entropy=args.total_entropy)
+    rows = [row for row in sweep_rows(config) if row["status"] == "ok"]
+    assert rows
+    for row in rows:
+        # the bound at the row's own entropy, which the state's spectrum gives
+        true = float(qubit_entropy_bound(args.beta, row["n"], row["entropy"]))
+        value = row["bound_entropy"]
+        assert abs(value - true) <= 1e-13 * true, (row["n"], value, true)
+        assert format_value(value) == format_value(true), (row["n"], value, true)
 
 
 def test_sweep_sizes_the_full_basis_in_bytes():
@@ -530,6 +555,19 @@ EDGE_INPUTS = {
     "verify-unknown-suite": (lambda: run_suite("bogus"), DomainError, None),
     "verify-negative-seed": (lambda: run_suite(seed=-1), DomainError,
                              ["verify", "--seed", "-1"]),
+    "spec-fractional-n": (lambda: SystemSpec(n=1.5, d=2, local_energies=(0.0, 1.0), beta=1.0),
+                          DomainError, None),
+    "spec-bool-n": (lambda: SystemSpec(n=True, d=2, local_energies=(0.0, 1.0), beta=1.0),
+                    DomainError, None),
+    "spec-float-d": (lambda: SystemSpec(n=2, d=2.0, local_energies=(0.0, 1.0), beta=1.0),
+                     DomainError, None),
+    "spec-string-beta": (lambda: SystemSpec(n=2, d=2, local_energies=(0.0, 1.0), beta="1"),
+                         DomainError, None),
+    "rotation-angle-inf": (lambda: pair_rotation_unitary(QUBITS, math.inf), DomainError, None),
+    "rotation-angle-nan": (lambda: pair_rotation_unitary(QUBITS, math.nan), DomainError, None),
+    "figure1-fractional-n-max": (lambda: figure1_rows(1.0, 2.5), DomainError, None),
+    "negative-population": (lambda: DensityMatrix.from_diagonal([1.5, -0.5, 0.0, 0.0]),
+                            ValidityError, None),
 }
 
 

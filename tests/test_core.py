@@ -223,7 +223,11 @@ def test_entropy_thermal_qubit():
 
 
 def test_entropy_rejects_negative_spectrum():
-    bad = DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+    # a negative population is refused when the state is built; a block's
+    # negative eigenvalue where the spectrum is solved
+    with pytest.raises(ValidityError):
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+    bad = DensityMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
     with pytest.raises(ValidityError):
         von_neumann_entropy(bad)
 
