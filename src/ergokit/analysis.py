@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
                    _component_blocks, _component_labels, _marginals, _parts_eigenvalues,
-                   _spectrum_entropy, _stack_eigenvalues, _subsystem_index,
+                   _binomial_weight, _spectrum_entropy, _stack_eigenvalues, _subsystem_index,
                    von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
 from .passivity import _energy, _level_table, thermal_entropy, thermal_params
@@ -201,7 +201,5 @@ def dicke_mixture_work_formula(spec: SystemSpec) -> float:
     params = thermal_params(spec)
     p = params.populations[1]
     n = spec.n
-    largest = max(
-        math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)
-    )
+    largest = max(_binomial_weight(n, k, p, 1.0 - p) for k in range(n + 1))
     return n * params.mean_energy - (1.0 - largest) * spec.energy_gap

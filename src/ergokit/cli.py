@@ -171,20 +171,26 @@ def _note(exc: Exception) -> str:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _parsed(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{what} {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_ladder(text):
     if text is None:
         return None
-    return tuple(float(x) for x in str(text).split(","))
+    return tuple(_parsed(float, x, "local energy") for x in str(text).split(","))
 
 
 def _parse_n_range(text: str) -> tuple[int, ...]:
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_parsed(int, part, "subsystem count") for part in text.split(":", 1))
         if hi < lo:
             raise DomainError(f"empty range {text!r}")
         return tuple(range(lo, hi + 1))
-    return (int(text),)
+    return (_parsed(int, text, "subsystem count"),)
 
 
 # --config is read before the subcommand's parser runs, so that the file's
@@ -211,8 +217,12 @@ def load_config_file(path) -> list[str]:
     `key = true` is the bare flag --key, and a value of several words
     repeats the flag once per word.  The subcommand's parser checks them.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config file {str(path)!r} is not UTF-8 text ({exc.reason})") from None
     flags = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -312,7 +322,7 @@ def _print_values(values: dict):
 
 
 def _cmd_ergotropy(args) -> int:
-    n = int(args.n)
+    n = _parsed(int, args.n, "subsystem count")
     spec = _spec(n, args.d, args.beta, _parse_ladder(args.energy_ladder))
     values = {
         "family": args.family,
@@ -354,7 +364,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    n = int(args.n)
+    n = _parsed(int, args.n, "subsystem count")
     # the state is prepared at beta'; the reference beta plays no part
     spec = _spec(n, args.d, 1.0, _parse_ladder(args.energy_ladder))
     _print_values({
@@ -387,7 +397,7 @@ def main(argv=None) -> int:
     except InfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ErgokitError, ValueError, OSError) as exc:
+    except (ErgokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -136,6 +136,11 @@ def hamming_weights(n: int) -> np.ndarray:
     return w
 
 
+def _binomial_weight(n: int, k: int, p: float, q: float) -> float:
+    """C(n, k) p^k q^(n-k): shell k's weight in n qubits, each excited with p and not with q."""
+    return math.comb(n, k) * p ** k * q ** (n - k)
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 # ---------------------------------------------------------------------------
@@ -342,7 +347,10 @@ class DensityMatrix:
     def __init__(self, entries):
         record = entries if isinstance(entries, _Record) else None
         if record is None and not isinstance(entries, _Parts):
-            arr = np.asarray(entries, dtype=complex)
+            try:
+                arr = np.asarray(entries, dtype=complex)
+            except (TypeError, ValueError) as exc:  # NumPy's errors for non-numbers
+                raise ValidityError(f"entries must be numbers: {exc}") from None
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
             entries = _dense_parts(arr)
@@ -602,11 +610,14 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
 
 
 def _eigvalsh(stack: np.ndarray, complex_: bool) -> np.ndarray:
-    """Eigenvalues of Hermitian blocks, by the real solver unless complex_."""
+    """Eigenvalues of Hermitian blocks by the real solver unless complex_, residues cut to 0."""
     try:
-        return np.linalg.eigvalsh(stack if complex_ else stack.real)
+        vals = np.linalg.eigvalsh(stack if complex_ else stack.real)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    cut = np.maximum(vals[:, -1:], -vals[:, :1]) * (2.0 ** -52 * stack.shape[-1])
+    vals[abs(vals) <= cut] = 0.0
+    return vals
 
 
 def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -614,7 +625,8 @@ def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
     Real blocks take the real solver, the others one complex solve; a
     stack of one kind is solved as it is, without a copy.  The imaginary
-    parts are read once.
+    parts are read once.  An eigenvalue with |lam| <= k eps max|lam| of its
+    k x k block, within eigvalsh's backward error of 0, is set to 0 (_eigvalsh).
     """
     if stack.dtype.kind != "c":
         return _eigvalsh(stack, False)
@@ -730,9 +742,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def _spectrum_entropy(lam: np.ndarray) -> float:
-    """-sum(lam * ln lam) over the positive eigenvalues, in the order given."""
+    """-sum(lam * ln lam) over the positive eigenvalues, in the order given, at least 0.
+    A lone positive eigenvalue is the trace, 1 up to rounding: a pure state, entropy 0."""
     nz = lam[lam > 0.0]
-    return float(-(nz * np.log(nz)).sum() + 0.0)
+    return max(0.0, float(-(nz * np.log(nz)).sum())) if nz.size > 1 else 0.0
 
 
 def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:

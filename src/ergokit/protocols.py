@@ -23,12 +23,15 @@ from .core import (
     DensityMatrix,
     StructuredUnitary,
     SystemSpec,
+    _binomial_weight,
+    _check_vector_size,
+    _Record,
     apply_unitary,
     hamming_weights,
     partial_trace_to,
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
-from .families import dicke_index_set, product_thermal_diagonal, product_thermal_state
+from .families import dicke_index_set, product_thermal_state
 from .passivity import BETA_MAX_SCALE, ThermalParams, thermal_params
 
 
@@ -133,9 +136,9 @@ def bias_after_inversion(spec: SystemSpec, excited_probability: float,
     Starting from per-qubit excitation probability p', swapping the
     populations of the shells with `level` and n - `level` excitations
     shifts the bias by
-        2 C(n, level) (z' + 2 mu / n) (p'^level (1-p')^(n-level)
-                                       - p'^(n-level) (1-p')^level)
-    with z' = 1 - 2 p' and mu = n p' - level.
+        2 C(n, level) (z' + 2 mu / n) (p'^(n-level) (1-p')^level
+                                       - p'^level (1-p')^(n-level))
+    with z' = 1 - 2 p' and mu = n p' - level: z' + 2 mu / n = (n - 2 level) / n.
     """
     _require_qubits(spec)
     n = spec.n
@@ -144,10 +147,14 @@ def bias_after_inversion(spec: SystemSpec, excited_probability: float,
     p = float(excited_probability)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"excitation probability {p} outside [0, 1]")
-    bias_prime = 1.0 - 2.0 * p
-    mu = n * p - level
-    swapped = p ** level * (1.0 - p) ** (n - level) - p ** (n - level) * (1.0 - p) ** level
-    return bias_prime - 2.0 * math.comb(n, level) * (bias_prime + 2.0 * mu / n) * swapped
+    q = 1.0 - p
+    return q - p + _inversion_shift(n, level, _binomial_weight(n, level, p, q),
+                                    _binomial_weight(n, n - level, p, q))
+
+
+def _inversion_shift(n: int, level: int, low: float, high: float) -> float:
+    """Bias shift of swapping weights low and high of shells level and n - level."""
+    return 2.0 * (n - 2 * level) / n * (high - low)
 
 
 def _reachable_params(spec: SystemSpec, beta_prime: float, target_bias: float) -> ThermalParams:
@@ -161,55 +168,43 @@ def _reachable_params(spec: SystemSpec, beta_prime: float, target_bias: float) -
     return params
 
 
-def _diagonal_bias(diag: np.ndarray, n: int) -> float:
-    # subsystem 1 is the most significant bit: first half has it in |0>
-    half = 1 << (n - 1)
-    return float(diag[:half].sum() - diag[half:].sum())
-
-
-def _invert_shell(diag: np.ndarray, n: int, level: int) -> np.ndarray:
-    out = diag.copy()
-    mask = (1 << n) - 1
-    idx = dicke_index_set(n, level)
-    out[idx], out[mask ^ idx] = diag[mask ^ idx], diag[idx]
-    return out
-
-
 def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
                                target_bias: float) -> ProtocolResult:
     """Greedy chain of shell inversions steering the bias toward a target.
 
     Candidate shells are level = round(n p' - mu) for mu = 0, +1, -1,
     +2, -2, ... (each shell used at most once); the chain stops at the
-    first step that would not shrink the residual.  The diagonal never
-    grows coherences, so the state stays classical and locally thermal
-    throughout.
+    first step that would not shrink the residual.  It runs on the n + 1
+    shell weights of tau_beta'^(x n): an inversion swaps two, and shifts
+    the bias in O(1).  The result is a classical, locally thermal shell
+    record, whose bias is measured once.
     """
     _require_qubits(spec)
     params = _reachable_params(spec, beta_prime, target_bias)
     n = spec.n
-    excited = params.populations[1]
-    diag = product_thermal_diagonal(spec, beta_prime)
-    bias = _diagonal_bias(diag, n)
+    _check_vector_size(spec.dim)  # measure_bias expands the result
+    ground, excited = params.populations
+    weights = [_binomial_weight(n, k, excited, ground) for k in range(n + 1)]
+    # the weights' own bias, so a swap that mirrors it about 0 gives exactly -bias
+    bias = math.fsum(w * (n - 2 * k) for k, w in enumerate(weights)) / n
     applied: list[int] = []
-    offsets = [0]
-    for m in range(1, n + 1):
-        offsets.extend([m, -m])
-    for mu in offsets:
+    for mu in [0] + [m * sign for m in range(1, n + 1) for sign in (1, -1)]:
         level = int(round(n * excited - mu))
         if level < 0 or level >= n / 2 or level in applied:
             continue
-        candidate = _invert_shell(diag, n, level)
-        candidate_bias = _diagonal_bias(candidate, n)
+        candidate_bias = bias + _inversion_shift(n, level, weights[level], weights[n - level])
         if abs(candidate_bias - target_bias) < abs(bias - target_bias):
-            diag, bias = candidate, candidate_bias
+            weights[level], weights[n - level] = weights[n - level], weights[level]
+            bias = candidate_bias
             applied.append(level)
         else:
             break
+    state = DensityMatrix(_Record(spec, [(n - k, k) for k in range(n + 1)], weights))
+    achieved = measure_bias(state, spec)
     return ProtocolResult(
-        state=DensityMatrix.from_diagonal(diag),
-        achieved_bias=bias,
+        state=state,
+        achieved_bias=achieved,
         target_bias=float(target_bias),
-        beta_local=local_beta_for_bias(spec, bias),
+        beta_local=local_beta_for_bias(spec, achieved),
         levels=tuple(applied),
     )

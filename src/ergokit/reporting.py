@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .errors import DomainError
+
 
 def format_value(value) -> str:
     if value is None:
@@ -23,7 +25,7 @@ def format_value(value) -> str:
         return f"{value:.12g}"
     text = str(value)
     if "," in text or "\n" in text:
-        raise ValueError(f"cell value may not contain separators: {text!r}")
+        raise DomainError(f"cell value may not contain separators: {text!r}")
     return text
 
 
@@ -51,7 +53,7 @@ def svg_line_chart(series, path=None, title="", x_label="", y_label="",
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
-        raise ValueError("cannot chart empty series")
+        raise DomainError("cannot chart empty series")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, config file, CSV output."""
 
 import argparse
+import ast
+import builtins
 import json
 import math
 import shlex
@@ -300,6 +302,13 @@ def test_protocol_unreachable_target(capsys):
                      "--beta-prime", "1.0", "--target-bias", "nan"]) == 2
 
 
+def test_protocol_invert_over_the_byte_budget_exits_2(capsys):
+    # the chain's state is sized before its bias is measured on the full basis
+    assert main(["protocol", "--kind", "invert", "--n", "30", "--beta-prime", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a state of dimension 2^30 needs 2^36 bytes, over the limit of 2^30\n")
+
+
 @pytest.mark.parametrize("kind", ["rotate", "invert"])
 def test_protocol_pure_target_reports_beta_sentinel(kind, capsys):
     assert main(["protocol", "--kind", kind, "--n", "3",
@@ -414,6 +423,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     for text in ("n-max\n", f"config = {cfg}\n"):
         cfg.write_text(text, encoding="utf-8")
         assert main(["figure1", "--config", str(cfg)]) == 2
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"n-max = \xff\n")
+    with pytest.raises(DomainError):
+        load_config_file(cfg)
+    assert main(["figure1", "--config", str(cfg)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_config_values_take_the_flags_types(tmp_path, monkeypatch, capsys, verify_all):
@@ -568,6 +586,17 @@ EDGE_INPUTS = {
     "figure1-fractional-n-max": (lambda: figure1_rows(1.0, 2.5), DomainError, None),
     "negative-population": (lambda: DensityMatrix.from_diagonal([1.5, -0.5, 0.0, 0.0]),
                             ValidityError, None),
+    "state-from-a-string": (lambda: DensityMatrix("ab"), ValidityError, None),
+    "n-range-of-three-parts": (lambda: cli._parse_n_range("25:30:1"), DomainError,
+                               ["sweep", "--family", "separable", "--n", "25:30:1"]),
+    "ladder-not-numbers": (lambda: cli._parse_ladder("a,b"), DomainError,
+                           ["sweep", "--family", "separable", "--n", "2",
+                            "--energy-ladder", "a,b"]),
+    "ergotropy-n-not-an-integer": (lambda: cli._parsed(int, "2.5", "subsystem count"),
+                                   DomainError,
+                                   ["ergotropy", "--family", "separable", "--n", "2.5"]),
+    "protocol-n-not-an-integer": (lambda: cli._parsed(int, "x", "subsystem count"),
+                                  DomainError, ["protocol", "--n", "x", "--beta-prime", "1"]),
 }
 
 
@@ -579,3 +608,28 @@ def test_edge_inputs_raise_their_typed_error(call, error, argv, capsys):
     if argv is not None:  # the CLI reaches this one: usage or domain error, exit 2
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+# builtin exceptions that src/ may not raise: each input error has a typed ErgokitError
+UNTYPED_RAISES = {"ValueError", "TypeError", "OverflowError"}
+
+
+def test_src_raises_no_builtin_error_and_main_catches_only_os_errors():
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert getattr(raised, "id", None) not in UNTYPED_RAISES, \
+                    f"{path.name}:{node.lineno} raises {raised.id}"
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    for handler in (node for node in ast.walk(main_def) if isinstance(node, ast.ExceptHandler)):
+        assert handler.type is not None, f"cli.py:{handler.lineno} has a bare except"
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        for name in (getattr(node, "id", None) for node in caught):
+            builtin = getattr(builtins, str(name), None)
+            # SystemExit is argparse's usage exit, not an Exception
+            if isinstance(builtin, type) and issubclass(builtin, Exception):
+                assert name == "OSError", f"cli.main catches {name} at line {handler.lineno}"

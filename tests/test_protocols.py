@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergokit import (
     DomainError,
+    families,
+    protocols,
     SystemSpec,
     UnreachableBiasError,
     UnsupportedError,
@@ -27,6 +29,7 @@ from ergokit import (
     thermal_state,
     von_neumann_entropy,
 )
+from ergokit.families import dicke_index_set, product_thermal_diagonal
 from strategies import specs
 
 
@@ -207,6 +210,75 @@ def test_sequence_never_moves_away_from_the_target(spec, fraction):
     assert result.residual <= abs(bias_prime - target) + 1e-12
     # the chain's bias and the marginal's are the same pairwise sums
     assert result.achieved_bias == measure_bias(result.state, spec)
+
+
+def former_chain(spec, beta_prime, target):
+    """The greedy chain as it ran on the 2^n population vector before shell records.
+
+    Returns its levels, its populations, its bias, and for each decision
+    the candidate's residual minus the current one (negative: accepted).
+    """
+    n, mask, half = spec.n, spec.dim - 1, spec.dim // 2
+    excited = thermal_params(spec, beta_prime).populations[1]
+    diag = product_thermal_diagonal(spec, beta_prime)
+    bias = float(diag[:half].sum() - diag[half:].sum())
+    applied, gains = [], []
+    for mu in [0] + [m * sign for m in range(1, n + 1) for sign in (1, -1)]:
+        level = int(round(n * excited - mu))
+        if level < 0 or level >= n / 2 or level in applied:
+            continue
+        shell = dicke_index_set(n, level)
+        candidate = diag.copy()
+        candidate[shell], candidate[mask ^ shell] = diag[mask ^ shell], diag[shell]
+        candidate_bias = float(candidate[:half].sum() - candidate[half:].sum())
+        gains.append(abs(candidate_bias - target) - abs(bias - target))
+        if not gains[-1] < 0.0:
+            break
+        diag, bias = candidate, candidate_bias
+        applied.append(level)
+    return tuple(applied), diag, bias, gains
+
+
+# a residual step the former chain's sums cannot resolve: 2^-49, eight ulp of 1,
+# since each of its two half sums of up to 2^11 populations rounds 11 times deep
+CHAIN_ROUNDING = 2.0 ** -49
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 12),
+       beta_prime=st.sampled_from([0.0, 30.0]) | st.floats(0.0, 30.0),
+       fraction=st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0))
+def test_shell_chain_equals_the_former_population_chain(n, beta_prime, fraction):
+    spec = SystemSpec.qubits(n, 1.0)
+    target = fraction * thermal_params(spec, beta_prime).bias
+    levels, diag, bias, gains = former_chain(spec, beta_prime, target)
+    result = inversion_sequence_to_bias(spec, beta_prime, target)
+    if result.levels == levels:
+        np.testing.assert_allclose(result.state.diagonal, diag, rtol=0.0, atol=1e-15)
+        assert abs(result.achieved_bias - bias) <= 1e-15
+        return
+    # both chains try the same candidates in the same order, so they differ
+    # only in where they stop: at a step that moved the former residual by
+    # less than its sums resolve (b' ~ 1e-15, or a shell of weight ~1e-17).
+    # There the shell chain ends no farther from the target, up to rounding.
+    shorter = min(len(levels), len(result.levels))
+    assert result.levels[:shorter] == levels[:shorter]
+    assert abs(gains[shorter]) <= CHAIN_ROUNDING, (levels, result.levels, gains)
+    assert result.residual <= abs(bias - target) + CHAIN_ROUNDING
+
+
+def test_shell_chain_builds_no_basis_vector_before_its_state(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the chain built a 2^n vector")
+
+    monkeypatch.setattr(protocols, "dicke_index_set", refused)
+    monkeypatch.setattr(families, "dicke_index_set", refused)
+    monkeypatch.setattr(families, "product_thermal_diagonal", refused)
+    spec = SystemSpec.qubits(10, 1.0)
+    result = inversion_sequence_to_bias(spec, 1.0, -0.3 * thermal_params(spec, 1.0).bias)
+    assert result.levels
+    record = result.state._record
+    assert record.counts == [(10 - k, k) for k in range(11)]
 
 
 def test_local_beta_for_bias_rejects_nan():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ergokit import DomainError
 from ergokit.reporting import emit_csv, format_value, svg_line_chart
 from golden_outputs import parse_csv
 
@@ -17,7 +18,7 @@ def test_format_value_significant_digits():
 
 
 def test_format_value_rejects_separators():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         format_value("a,b")
 
 
@@ -63,5 +64,5 @@ def test_svg_chart_contains_polylines(tmp_path):
 
 
 def test_svg_rejects_empty_series():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         svg_line_chart([("empty", [], [])])

@@ -128,6 +128,24 @@ def test_min_pt_eigenvalue_is_zero_on_unreached_indices():
             assert min_pt_eigenvalue(separable_optimal_state(spec), spec, part) == 0.0
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 30.0])
+def test_dicke_half_split_transpose_minimum_is_exactly_zero(beta):
+    # each block of the transposed Dicke mixture is rank one: its other
+    # eigenvalues are zeros, solved within the k eps max|lam| cutoff
+    for n in range(2, 11):
+        spec = SystemSpec.qubits(n, beta)
+        part = Bipartition.half_split(n)
+        assert min_pt_eigenvalue(dicke_thermal_mixture(spec), spec, part) == 0.0, n
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 10), d=st.sampled_from([2, 3]),
+       beta=st.sampled_from([0.0, 30.0]) | st.floats(0.0, 30.0))
+def test_pure_states_have_entropy_exactly_zero(n, d, beta):
+    spec = SystemSpec(n=n, d=d, local_energies=tuple(map(float, range(d))), beta=beta)
+    assert von_neumann_entropy(entangled_pure_state(spec)) == 0.0
+
+
 def spy_eigvalsh(monkeypatch) -> list:
     """Record the shape of every array passed to np.linalg.eigvalsh."""
     shapes = []
