@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
-                   _component_blocks, _component_labels, _marginals, _parts_eigenvalues,
-                   _binomial_weight, _spectrum_entropy, _stack_eigenvalues, _subsystem_index,
-                   von_neumann_entropy)
+                   _component_blocks, _component_labels, _integer, _marginals, _parts_eigenvalues,
+                   _binomial_weight, _real, _spectrum_entropy, _stack_eigenvalues,
+                   _subsystem_index, von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
 from .passivity import _energy, _level_table, thermal_entropy, thermal_params
 
@@ -35,6 +35,7 @@ class Bipartition:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
         side = frozenset(_subsystem_index(i, self.n) for i in self.side_a)
         object.__setattr__(self, "side_a", side)
         if not side or len(side) >= self.n:
@@ -46,6 +47,7 @@ class Bipartition:
 
     @classmethod
     def half_split(cls, n: int) -> "Bipartition":
+        n = _integer(n, "subsystem count")
         return cls(side_a=frozenset(range(1, n // 2 + 1)), n=n)
 
 
@@ -77,8 +79,9 @@ def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
     i).  The nonzero moved entries link their two indices; each connected
     component is solved as one block, equal-size components in one stacked
     call, and every other index contributes its diagonal entry (0 where no
-    entry reaches it).  A caller's dense array is stored by its components
-    (core.DensityMatrix), so this holds for it too.  Besides the component
+    entry reaches it).  A caller's dense array with anything off its
+    diagonal is stored as one block (core.DensityMatrix), whose moved
+    entries are linked like those of any block.  Besides the component
     blocks its arrays take O(dim + stored entries) bytes; raises
     CapacityError before the moved entries, or they and the component
     blocks, exceed core.DENSE_BYTES_MAX.
@@ -134,12 +137,14 @@ def npt_witness_half_split(spec: SystemSpec, beta_prime: float, angle: float) ->
         raise UnsupportedError("the closed-form witness applies to qubits only")
     if spec.n % 2:
         raise DomainError("the half/half witness requires an even subsystem count")
+    beta_prime, angle = _real(beta_prime, "inverse temperature"), _real(angle, "angle")
     x = beta_prime * spec.energy_gap * spec.n
     return math.sin(2.0 * angle) * (1.0 - math.exp(-x)) - 2.0 * math.exp(-x / 2.0)
 
 
 def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
     """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
+    beta = _real(beta, "inverse temperature")
     if not beta > 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")
     return _energy(rho, _level_table(rho, hamiltonian)) - von_neumann_entropy(rho) / beta
@@ -154,7 +159,7 @@ def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:
     """
     if spec.beta <= 0.0:
         raise DomainError("the bath bound requires a positive inverse temperature")
-    s = float(total_entropy)
+    s = _real(total_entropy, "total entropy")
     s_top = spec.n * thermal_entropy(spec)
     if not -1e-12 <= s <= s_top + 1e-9:
         raise DomainError(f"total entropy {s} outside [0, n S(tau_beta) = {s_top!r}]")
@@ -183,6 +188,7 @@ def count_global_energies(n: int, d: int) -> int:
     Each multiset of n digits from d symbols gives one energy when the
     ladder has no accidental coincidences: C(n + d - 1, d - 1).
     """
+    n, d = _integer(n, "subsystem count"), _integer(d, "local dimension")
     if n < 0 or d < 1:
         raise DomainError(f"need n >= 0 and d >= 1, got n = {n}, d = {d}")
     return math.comb(n + d - 1, d - 1)

@@ -11,9 +11,9 @@ numbers this way and the Dicke mixture one block per excitation shell, a
 single number broadcast over the block; the separable, entangled and
 fixed-entropy states are records of a few class populations or one block
 (_Record), read against energy levels by class (_Levels).  A caller's
-dense array is split into the connected components of its nonzero
-entries, one block each.  The spectrum is solved block by block and
-cached on the state, so each state is solved once.
+dense array is its populations, or one block if anything lies off its
+diagonal.  The spectrum is solved block by block and cached on the
+state, so each state is solved once.
 
 Conventions
 -----------
@@ -83,14 +83,12 @@ class SystemSpec:
         if type(self.n) is not int or type(self.d) is not int or type(self.beta) is not float:
             object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
             object.__setattr__(self, "d", _integer(self.d, "local dimension"))
-            if isinstance(self.beta, bool) or not isinstance(self.beta, numbers.Real):
-                raise DomainError(f"inverse temperature {self.beta!r} is not a real number")
-            object.__setattr__(self, "beta", float(self.beta))
+            object.__setattr__(self, "beta", _real(self.beta, "inverse temperature"))
         if self.n < 1:
             raise DomainError(f"subsystem count must be positive, got {self.n}")
         if self.d < 2:
             raise DomainError(f"local dimension must be at least 2, got {self.d}")
-        energies = tuple(float(e) for e in self.local_energies)
+        energies = tuple(_real(e, "local energy") for e in self.local_energies)
         object.__setattr__(self, "local_energies", energies)
         if len(energies) != self.d:
             raise DomainError(
@@ -118,16 +116,17 @@ class SystemSpec:
     @classmethod
     def qubits(cls, n: int, beta: float, energy: float = 1.0) -> "SystemSpec":
         """Spec for n two-level subsystems with ladder (0, energy)."""
-        return cls(n=n, d=2, local_energies=(0.0, float(energy)), beta=beta)
+        return cls(n=n, d=2, local_energies=(0.0, energy), beta=beta)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def hamming_weights(n: int) -> np.ndarray:
     """Hamming weight of every linear index of an n-qubit register.
 
     The cache keeps the last n only, so a run over several sizes holds one
-    state-sized vector.
+    state-sized vector; it is typed, so True is not taken for a cached 1.
     """
+    n = _integer(n, "subsystem count")
     _check_vector_size(2 ** n)
     w = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -179,6 +178,23 @@ def _integer(value, what: str) -> int:
     if number is None or isinstance(value, bool):
         raise DomainError(f"{what} {value!r} is not an integer")
     return number
+
+
+def _real(value, what: str) -> float:
+    """value as a float; DomainError for a bool or anything not a real number."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} {value!r} is not a real number")
+    return float(value)
+
+
+def _array(value, dtype) -> np.ndarray:
+    """value as an array of dtype, itself if it is one; ValidityError for entries not numbers."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # NumPy's errors for non-numbers
+        raise ValidityError(f"entries must be numbers: {exc}") from None
 
 
 def _subsystem_index(index, n: int) -> int:
@@ -266,56 +282,23 @@ def _single_block(arr: np.ndarray) -> _Parts:
     return _Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None])])
 
 
-def _dense_labels(arr: np.ndarray):
-    """Component label of every index of a dense matrix, or None to keep it one block.
-
-    A nonzero entry links its two indices whatever its mirror holds.  The
-    index with the most links and the indices it links are one component,
-    so only its links and those of the other indices are labelled.  None
-    when a row has no zero (the first row is looked at first), or when the
-    labelling, at 48 bytes a link, would exceed DENSE_BYTES_MAX.  An array
-    whose nonzero entries all lie on the diagonal labels no index (an empty
-    array) after one count, without the dim x dim link mask.
-    """
-    dim = arr.shape[0]
-    if np.count_nonzero(arr[:1]) == dim:
-        return None
-    if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
-        return np.arange(0)
-    linked = arr != 0
-    linked |= linked.T
-    np.fill_diagonal(linked, False)
-    links = np.count_nonzero(linked, axis=1)
-    hub = int(np.argmax(links))
-    rows = ~linked[hub]
-    if links[hub] == dim - 1 or 48 * int(links[rows].sum()) > DENSE_BYTES_MAX:
-        return None
-    a, b = np.nonzero(linked[rows])
-    return _component_labels(dim, np.flatnonzero(rows)[a], b)
-
-
 def _dense_parts(arr: np.ndarray) -> _Parts:
-    """Parts of a copy of a caller's dense matrix: one block per connected component.
+    """Parts of a copy of a caller's dense matrix: its populations, or one block.
 
-    An entry without a Hermitian partner links its indices too, so it still
-    meets the blocks' Hermiticity test.  Indices no entry links become
-    populations, after the same test on their diagonal.
+    An array with a nonzero entry off its diagonal (NaN counts) is one block
+    over every index, and so is one whose first row has no zero, which is
+    read first; any other array's diagonal, tested for Hermiticity, is the
+    populations, without a dim x dim temporary.
     """
     dim = arr.shape[0]
-    index = np.arange(dim)[None]
-    label = _dense_labels(arr)
-    if label is None:
-        return _Parts(np.zeros(dim), [(index, arr.copy()[None])])
-    member = np.bincount(label, minlength=dim)[label] > 1 if label.size else np.zeros(dim, bool)
     diag = arr.diagonal()
+    if np.count_nonzero(arr[:1]) == dim or np.count_nonzero(arr) != np.count_nonzero(diag):
+        return _single_block(arr.copy())
     with np.errstate(invalid="ignore"):  # inf - inf: the NaN defect fails the test below
-        defect = float(np.abs(diag - diag.conj()).max(initial=0.0, where=~member))
+        defect = float(np.abs(diag - diag.conj()).max(initial=0.0))
     if not defect <= HERMITICITY_TOL:
         raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
-    if not label.size:  # nothing off the diagonal: populations only
-        return _Parts(diag.real.copy())
-    stacks = _component_blocks(label, member, diag, [(index, arr[None])])[0]
-    return _Parts(np.where(member, 0.0, diag.real), stacks.values())
+    return _Parts(diag.real.copy())
 
 
 class DensityMatrix:
@@ -326,12 +309,12 @@ class DensityMatrix:
     shape (m, k) with ascending rows, values has shape (m, k, k), and all
     blocks are disjoint.  values may be a read-only broadcast view (the
     Dicke mixture stores one number per shell block), so no reader writes
-    into it, and none copies a group whole, except to build a new state or
-    to split a stack of real and complex blocks for the spectrum.  A dense
-    array given by a caller is copied into one block per connected
-    component of its nonzero entries, and its unlinked indices into
-    populations.  entries is the dense matrix, assembled from the parts on
-    each access (read-only); it raises CapacityError over DENSE_BYTES_MAX.
+    into it, and none copies a group whole, except to build a new state.  A
+    dense array given by a caller is copied into its populations when
+    nothing lies off its diagonal, and otherwise into one block over every
+    index (_dense_parts).  entries is the dense matrix, assembled from the
+    parts on each access (read-only); it raises CapacityError over
+    DENSE_BYTES_MAX.
 
     The families' permutation-invariant states are stored by class (a
     _Record) instead, and expanded into populations and groups on first
@@ -347,10 +330,7 @@ class DensityMatrix:
     def __init__(self, entries):
         record = entries if isinstance(entries, _Record) else None
         if record is None and not isinstance(entries, _Parts):
-            try:
-                arr = np.asarray(entries, dtype=complex)
-            except (TypeError, ValueError) as exc:  # NumPy's errors for non-numbers
-                raise ValidityError(f"entries must be numbers: {exc}") from None
+            arr = _array(entries, complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
             entries = _dense_parts(arr)
@@ -404,7 +384,7 @@ class DensityMatrix:
 
     @classmethod
     def from_diagonal(cls, populations) -> "DensityMatrix":
-        pops = np.array(populations, dtype=float)
+        pops = _array(populations, float).copy()
         if pops.ndim != 1:
             raise ShapeError("populations must be a vector")
         return cls(_Parts(pops))
@@ -412,7 +392,7 @@ class DensityMatrix:
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityMatrix":
         """|psi><psi| as one block over the support of the amplitudes."""
-        vec = np.asarray(amplitudes, dtype=complex).ravel()
+        vec = _array(amplitudes, complex).ravel()
         support = np.flatnonzero(vec)
         amp = vec[support]
         block = np.outer(amp, amp.conj())
@@ -434,26 +414,25 @@ class StructuredUnitary:
     """
 
     def __init__(self, rotations, dim: int):
-        rots = tuple((int(a), int(b), float(t)) for a, b, t in rotations)
-        pairs = np.array([(a, b) for a, b, _ in rots], dtype=np.int64).reshape(-1, 2)
-        self._set(pairs.T, np.array([t for _, _, t in rots], dtype=float), dim)
-        self._rotations = rots
+        rots = tuple(rotations)
+        pairs = _array([(a, b) for a, b, _ in rots], np.int64).reshape(-1, 2)
+        self._set(pairs.T, _array([t for _, _, t in rots], float), dim)
 
     @classmethod
     def from_pairs(cls, index_a, index_b, angles, dim: int) -> "StructuredUnitary":
         """Rotation k acts on (index_a[k], index_b[k]) by angles[k] (or one shared angle)."""
-        a, b = np.asarray(index_a, dtype=np.int64), np.asarray(index_b, dtype=np.int64)
-        angles = np.array(angles, dtype=float)
+        a, b = _array(index_a, np.int64), _array(index_b, np.int64)
+        angles = _array(angles, float).copy()
         if a.ndim != 1 or b.shape != a.shape or angles.shape not in ((), a.shape):
             raise ShapeError(
                 f"index arrays {a.shape} and {b.shape} and angles {angles.shape} do not match"
             )
         unitary = cls.__new__(cls)
         unitary._set(np.stack([a, b]), np.broadcast_to(angles, a.shape), dim)
-        unitary._rotations = None
         return unitary
 
     def _set(self, pairs: np.ndarray, angles: np.ndarray, dim: int):
+        dim = _integer(dim, "dimension")
         outside = ((pairs < 0) | (pairs >= dim)).any(axis=0)
         if outside.any():
             a, b = pairs[:, outside][:, 0]
@@ -471,8 +450,9 @@ class StructuredUnitary:
         sin = np.array([math.sin(t) for t in distinct])[where]
         for value in (pairs, angles, cos, sin):
             value.setflags(write=False)
-        self.dim = int(dim)
+        self.dim = dim
         self._pairs, self._angles, self._cos, self._sin = pairs, angles, cos, sin
+        self._rotations = None
 
     @property
     def rotations(self) -> tuple[tuple[int, int, float], ...]:
@@ -621,22 +601,14 @@ def _eigvalsh(stack: np.ndarray, complex_: bool) -> np.ndarray:
 
 
 def _stack_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each block of an (m, k, k) stack, as (m, k).
+    """Eigenvalues of each block of an (m, k, k) stack, as (m, k), in one solve.
 
-    Real blocks take the real solver, the others one complex solve; a
-    stack of one kind is solved as it is, without a copy.  The imaginary
-    parts are read once.  An eigenvalue with |lam| <= k eps max|lam| of its
-    k x k block, within eigvalsh's backward error of 0, is set to 0 (_eigvalsh).
+    The complex solver takes the stack when any block has an imaginary
+    part, else the real solver takes its real view, without a copy.  An
+    eigenvalue with |lam| <= k eps max|lam| of its k x k block, within
+    eigvalsh's backward error of 0, is set to 0 (_eigvalsh).
     """
-    if stack.dtype.kind != "c":
-        return _eigvalsh(stack, False)
-    complex_ = stack.imag.any(axis=(1, 2))
-    if complex_.all() or not complex_.any():
-        return _eigvalsh(stack, bool(complex_.any()))
-    out = np.empty(stack.shape[:2])
-    out[~complex_] = _eigvalsh(stack[~complex_], False)
-    out[complex_] = _eigvalsh(stack[complex_], True)
-    return out
+    return _eigvalsh(stack, stack.dtype.kind == "c" and bool(stack.imag.any()))
 
 
 def _component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -812,7 +784,7 @@ def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
             )
         return DensityMatrix(_rotate_parts(rho, unitary))
 
-    mat = np.asarray(unitary, dtype=complex)
+    mat = _array(unitary, complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"unitary must be square, got shape {mat.shape}")
     if mat.shape[0] != rho.dim:

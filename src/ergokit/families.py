@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix, SystemSpec, _Parts, _Record, _check_bytes, _check_vector_size,
-    hamming_weights,
+    DensityMatrix, SystemSpec, _Parts, _Record, _check_bytes, _check_vector_size, _integer,
+    _real, hamming_weights,
 )
 from .errors import DomainError, InfeasibilityError, UnsupportedError
 from .passivity import thermal_params
@@ -49,6 +49,7 @@ class DiagonalFamilyParams:
 
 def dicke_index_set(n: int, k: int) -> np.ndarray:
     """All n-qubit basis indices with k excitations, ascending and read-only."""
+    n, k = _integer(n, "subsystem count"), _integer(k, "excitation count")
     if not 0 <= k <= n:
         raise DomainError(f"excitation count {k} outside [0, {n}]")
     indices = np.flatnonzero(hamming_weights(n) == k)
@@ -151,6 +152,7 @@ def smallest_shell_for_entropy(n: int, entropy: float) -> int:
     Beyond n//2 the binomial coefficients repeat by symmetry, so a larger
     shell can never help.
     """
+    n, entropy = _integer(n, "subsystem count"), _real(entropy, "entropy")
     if not entropy >= 0.0:
         raise DomainError(f"entropy must be nonnegative, got {entropy}")
     for shell in range(0, n // 2 + 1):
@@ -227,7 +229,7 @@ def diagonal_state_at_entropy(
     if spec.d != 2:
         raise UnsupportedError("the diagonal family is implemented for qubits only")
     _check_vector_size(spec.dim)
-    s = float(total_entropy)
+    s = _real(total_entropy, "total entropy")
     n = spec.n
     params = thermal_params(spec)
     p, s_local = params.populations[1], params.entropy

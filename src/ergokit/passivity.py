@@ -23,7 +23,9 @@ from .core import (
     DensityMatrix,
     ShapeError,
     SystemSpec,
+    _array,
     _Levels,
+    _real,
     state_eigenvalues,
 )
 from .errors import DomainError, NumericalError, UnsupportedError
@@ -89,7 +91,7 @@ def thermal_params(spec: SystemSpec, beta: Optional[float] = None) -> ThermalPar
     normal float: rounding beta E_a before the exponential moves a weight
     by up to beta E_a ulp, and the rest rounds a few times.
     """
-    b = spec.beta if beta is None else float(beta)
+    b = spec.beta if beta is None else _real(beta, "inverse temperature")
     if b < 0.0 or not math.isfinite(b):
         raise DomainError(f"inverse temperature must be finite and >= 0, got {b}")
     ladder = spec.local_energies
@@ -188,7 +190,7 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     S at it allows.  s = ln d returns beta' = 0; s at or below the
     sentinel entropy returns the beta_max sentinel.
     """
-    s = float(entropy_per_subsystem)
+    s = _real(entropy_per_subsystem, "entropy per subsystem")
     s_max = math.log(spec.d)
     if not -ENTROPY_SOLVE_TOL <= s <= s_max + ENTROPY_SOLVE_TOL:
         raise DomainError(
@@ -241,7 +243,7 @@ def entropy_constrained_bound(spec: SystemSpec, total_entropy: float) -> float:
     per-subsystem entropy is total_entropy / n.  A total within 1e-9 above
     n ln d is taken as n ln d; beyond that it raises DomainError.
     """
-    s = float(total_entropy)
+    s = _real(total_entropy, "total entropy")
     if not -1e-12 <= s <= spec.n * math.log(spec.d) + 1e-9:
         raise DomainError(
             f"total entropy {s} outside [0, n ln d = {spec.n * math.log(spec.d)!r}]"
@@ -272,7 +274,7 @@ def separable_work_limit(spec: SystemSpec) -> float:
 def _level_table(rho: DensityMatrix, hamiltonian) -> _Levels:
     """hamiltonian, a level table or an energy vector, as a level table of rho's dimension."""
     levels = hamiltonian if isinstance(hamiltonian, _Levels) else \
-        _Levels(np.asarray(hamiltonian, dtype=float).ravel())
+        _Levels(_array(hamiltonian, float).ravel())
     if levels.dim != rho.dim:
         raise ShapeError(
             f"Hamiltonian length {levels.dim} does not match state dimension {rho.dim}")

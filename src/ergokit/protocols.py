@@ -25,6 +25,8 @@ from .core import (
     SystemSpec,
     _binomial_weight,
     _check_vector_size,
+    _integer,
+    _real,
     _Record,
     apply_unitary,
     hamming_weights,
@@ -64,12 +66,14 @@ def pair_rotation_unitary(spec: SystemSpec, angle: float) -> StructuredUnitary:
     """
     _require_qubits(spec)
     low = np.flatnonzero(2 * hamming_weights(spec.n) < spec.n)
-    return StructuredUnitary.from_pairs(low, (spec.dim - 1) ^ low, float(angle), spec.dim)
+    return StructuredUnitary.from_pairs(low, (spec.dim - 1) ^ low, _real(angle, "angle"),
+                                        spec.dim)
 
 
 def level_inversion_unitary(spec: SystemSpec, level: int) -> StructuredUnitary:
     """Full swap (pi/2 rotation) of every weight-`level` index with its negation."""
     _require_qubits(spec)
+    level = _integer(level, "level")
     if not 0 <= level < spec.n / 2:
         raise DomainError(f"level {level} outside [0, n/2) for n = {spec.n}")
     shell = dicke_index_set(spec.n, level)
@@ -92,6 +96,7 @@ def local_beta_for_bias(spec: SystemSpec, bias: float) -> float:
     gives the same (unbiased) state.
     """
     _require_qubits(spec)
+    bias = _real(bias, "bias")
     if math.isnan(bias):
         raise DomainError("bias must be a number, got nan")
     gap = spec.energy_gap
@@ -111,6 +116,7 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
     spectrum (hence entropy) is untouched.
     """
     _require_qubits(spec)
+    target_bias = _real(target_bias, "target bias")
     bias_prime = _reachable_params(spec, beta_prime, target_bias).bias
     if bias_prime == 0.0:
         angle = 0.0
@@ -123,7 +129,7 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
     return ProtocolResult(
         state=state,
         achieved_bias=achieved,
-        target_bias=float(target_bias),
+        target_bias=target_bias,
         beta_local=local_beta_for_bias(spec, achieved),
         angle=angle,
     )
@@ -141,10 +147,10 @@ def bias_after_inversion(spec: SystemSpec, excited_probability: float,
     with z' = 1 - 2 p' and mu = n p' - level: z' + 2 mu / n = (n - 2 level) / n.
     """
     _require_qubits(spec)
-    n = spec.n
+    n, level = spec.n, _integer(level, "level")
     if not 0 <= level < n / 2:
         raise DomainError(f"level {level} outside [0, n/2) for n = {n}")
-    p = float(excited_probability)
+    p = _real(excited_probability, "excitation probability")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"excitation probability {p} outside [0, 1]")
     q = 1.0 - p
@@ -180,6 +186,7 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     record, whose bias is measured once.
     """
     _require_qubits(spec)
+    target_bias = _real(target_bias, "target bias")
     params = _reachable_params(spec, beta_prime, target_bias)
     n = spec.n
     _check_vector_size(spec.dim)  # measure_bias expands the result
@@ -204,7 +211,7 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     return ProtocolResult(
         state=state,
         achieved_bias=achieved,
-        target_bias=float(target_bias),
+        target_bias=target_bias,
         beta_local=local_beta_for_bias(spec, achieved),
         levels=tuple(applied),
     )

@@ -33,6 +33,7 @@ from .analysis import (
 from .core import (
     DensityMatrix,
     SystemSpec,
+    _integer,
     _marginals,
     apply_unitary,
     build_hamiltonian,
@@ -516,7 +517,7 @@ def run_suite(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CheckResult]
     """Run the checks of one suite, or of all; a check's index is its place in SUITES."""
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from all, {', '.join(SUITES)}")
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     checks = [(group, name, fn) for group in SUITES for name, fn in SUITES[group]]
     results = []

@@ -65,6 +65,12 @@ def former_dense_parts(arr: np.ndarray) -> core._Parts:
     return core._Parts(np.where(member, 0.0, diag.real), stacks.values())
 
 
+def one_block(arr: np.ndarray) -> core._Parts:
+    """The parts of an array with anything off its diagonal: one block over every index."""
+    dim = arr.shape[0]
+    return core._Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None].copy())])
+
+
 def former_hermiticity_defect(arr: np.ndarray) -> float:
     worst = 0.0
     dim, tile = arr.shape[-1], _HERMITICITY_TILE
@@ -109,9 +115,12 @@ def diagonal_arrays(draw):
         diag[at] = diag[at] + value if finite_imaginary else value
     arr = np.diag(diag)
     if draw(st.booleans()) and dim > 1:
-        # one entry off the diagonal, which the general path must still take
+        # one entry off the diagonal, with or without its Hermitian partner
         i, j = draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
-        arr[i, (j + (i == j)) % dim] = draw(st.sampled_from([1e-3, 1e-3j, math.nan]))
+        j = (j + (i == j)) % dim
+        arr[i, j] = draw(st.sampled_from([1e-3, 1e-3j, math.nan]))
+        if draw(st.booleans()):
+            arr[j, i] = np.conj(arr[i, j])
     return arr
 
 
@@ -122,10 +131,13 @@ def diagonal_arrays(draw):
 @example(arr=np.diag([0.5, 0.5 + 2e-12j]))
 @example(arr=np.diag([0.5, 0.5, math.nan]))
 @example(arr=np.diag([1.0, 0.0, math.inf, 0.0]))
+@example(arr=np.array([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0], [0.0, 0.0, 0.0]]))
 def test_a_diagonal_array_gives_the_former_parts_or_error(arr):
+    off_diagonal = np.count_nonzero(arr) != np.count_nonzero(arr.diagonal())
+    expected = one_block if off_diagonal else former_dense_parts
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal, on both paths
         assert outcome(lambda: DensityMatrix(arr)) == \
-            outcome(lambda: DensityMatrix(former_dense_parts(arr)))
+            outcome(lambda: DensityMatrix(expected(arr)))
 
 
 def test_an_inf_on_a_coupled_arrays_diagonal_raises_no_warning_first():

@@ -12,25 +12,38 @@ import numpy as np
 import pytest
 
 from ergokit import (
+    Bipartition,
     CapacityError,
     DensityMatrix,
     DomainError,
     NumericalError,
     ShapeError,
+    StructuredUnitary,
     SystemSpec,
     UnsupportedError,
     ValidityError,
     apply_unitary,
     bath_extractable_work,
+    beta_for_entropy,
     bias_after_inversion,
     cli,
     core,
     count_global_energies,
+    diagonal_state_at_entropy,
+    dicke_index_set,
     dicke_mixture_work_formula,
+    entropy_constrained_bound,
     ergotropy,
+    free_energy,
+    hamming_weights,
+    inversion_sequence_to_bias,
+    level_inversion_unitary,
+    local_beta_for_bias,
     npt_witness_half_split,
     pair_rotation_unitary,
+    prepare_locally_thermal,
     product_thermal_state,
+    smallest_shell_for_entropy,
     thermal_params,
     verify,
 )
@@ -597,6 +610,51 @@ EDGE_INPUTS = {
                                    ["ergotropy", "--family", "separable", "--n", "2.5"]),
     "protocol-n-not-an-integer": (lambda: cli._parsed(int, "x", "subsystem count"),
                                   DomainError, ["protocol", "--n", "x", "--beta-prime", "1"]),
+    # a caller's array of non-numbers, through core's one conversion
+    "populations-from-a-string": (lambda: DensityMatrix.from_diagonal("ab"), ValidityError, None),
+    "amplitudes-from-a-string": (lambda: DensityMatrix.from_pure("ab"), ValidityError, None),
+    "dense-unitary-from-a-string": (lambda: apply_unitary(product_thermal_state(QUBITS), "abc"),
+                                    ValidityError, None),
+    "hamiltonian-from-a-string": (lambda: ergotropy(product_thermal_state(QUBITS), "abc"),
+                                  ValidityError, None),
+    "rotation-pairs-from-strings": (lambda: StructuredUnitary.from_pairs(["a"], [1], 0.1, 4),
+                                    ValidityError, None),
+    "rotations-from-strings": (lambda: StructuredUnitary([("a", 1, 0.1)], 4), ValidityError, None),
+    # integer parameters, through core._integer
+    "inversion-level-fractional": (lambda: level_inversion_unitary(QUBITS, 0.5), DomainError, None),
+    "inversion-level-bool": (lambda: level_inversion_unitary(QUBITS, True), DomainError, None),
+    "dicke-shell-fractional": (lambda: dicke_index_set(3, 1.5), DomainError, None),
+    "bipartition-fractional-n": (lambda: Bipartition(side_a=frozenset({1}), n=2.5),
+                                 DomainError, None),
+    "bias-level-fractional": (lambda: bias_after_inversion(QUBITS, 0.3, 0.5), DomainError, None),
+    "shell-search-fractional-n": (lambda: smallest_shell_for_entropy(2.5, 0.1), DomainError, None),
+    "half-split-float-n": (lambda: Bipartition.half_split(4.0), DomainError, None),
+    "energy-count-fractional-n": (lambda: count_global_energies(2.5, 2), DomainError, None),
+    "hamming-weights-fractional-n": (lambda: hamming_weights(2.5), DomainError, None),
+    "verify-fractional-seed": (lambda: run_suite("bounds", 1.5), DomainError, None),
+    # real parameters, through core._real
+    "thermal-beta-a-string": (lambda: thermal_params(QUBITS, "x"), DomainError, None),
+    "entropy-per-subsystem-a-string": (lambda: beta_for_entropy(QUBITS, "x"), DomainError, None),
+    "entropy-bound-a-string": (lambda: entropy_constrained_bound(QUBITS, "x"), DomainError, None),
+    "fixed-entropy-target-a-string": (lambda: diagonal_state_at_entropy(QUBITS, "x"),
+                                      DomainError, None),
+    "shell-search-entropy-a-string": (lambda: smallest_shell_for_entropy(4, "x"),
+                                      DomainError, None),
+    "bath-entropy-a-string": (lambda: bath_extractable_work(QUBITS, "x"), DomainError, None),
+    "free-energy-beta-a-string": (lambda: free_energy(product_thermal_state(QUBITS),
+                                                      [0.0] * 16, "x"), DomainError, None),
+    "excitation-a-string": (lambda: bias_after_inversion(QUBITS, "x", 0), DomainError, None),
+    "rotate-target-a-string": (lambda: prepare_locally_thermal(QUBITS, 1.0, "x"),
+                               DomainError, None),
+    "invert-target-a-string": (lambda: inversion_sequence_to_bias(QUBITS, 1.0, "x"),
+                               DomainError, None),
+    "local-beta-bias-a-string": (lambda: local_beta_for_bias(QUBITS, "x"), DomainError, None),
+    "witness-beta-a-string": (lambda: npt_witness_half_split(QUBITS, "x", 0.3),
+                              DomainError, None),
+    "rotation-angle-a-numeric-string": (lambda: pair_rotation_unitary(QUBITS, "0.3"),
+                                        DomainError, None),
+    "local-energy-a-string": (lambda: SystemSpec.qubits(2, 1.0, energy="x"), DomainError, None),
+    "unitary-dimension-fractional": (lambda: StructuredUnitary([], 4.5), DomainError, None),
 }
 
 
@@ -612,23 +670,41 @@ def test_edge_inputs_raise_their_typed_error(call, error, argv, capsys):
 
 # builtin exceptions that src/ may not raise: each input error has a typed ErgokitError
 UNTYPED_RAISES = {"ValueError", "TypeError", "OverflowError"}
+# the only functions that catch a conversion's TypeError or ValueError, to type it
+CONVERSIONS = {("core.py", "_integer"), ("core.py", "_real"), ("core.py", "_array"),
+               ("cli.py", "_parsed")}
+
+
+def _caught_names(handler: ast.ExceptHandler) -> list:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [getattr(node, "id", None) for node in caught]
 
 
 def test_src_raises_no_builtin_error_and_main_catches_only_os_errors():
     src = Path(cli.__file__).parent
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 assert getattr(raised, "id", None) not in UNTYPED_RAISES, \
                     f"{path.name}:{node.lineno} raises {raised.id}"
+        allowed = {id(handler)
+                   for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and (path.name, func.name) in CONVERSIONS
+                   for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)}
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and id(handler) not in allowed:
+                assert handler.type is not None, f"{path.name}:{handler.lineno} has a bare except"
+                conversion = {"TypeError", "ValueError"} & set(_caught_names(handler))
+                assert not conversion, \
+                    f"{path.name}:{handler.lineno} catches {conversion} outside the conversion helpers"
     tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
     main_def = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "main")
     for handler in (node for node in ast.walk(main_def) if isinstance(node, ast.ExceptHandler)):
         assert handler.type is not None, f"cli.py:{handler.lineno} has a bare except"
-        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-        for name in (getattr(node, "id", None) for node in caught):
+        for name in _caught_names(handler):
             builtin = getattr(builtins, str(name), None)
             # SystemExit is argparse's usage exit, not an Exception
             if isinstance(builtin, type) and issubclass(builtin, Exception):

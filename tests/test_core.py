@@ -386,8 +386,8 @@ def test_structured_unitary_from_pairs_matches_listed_rotations():
 
 def test_density_matrix_rejects_nonhermitian():
     bad = [np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)]
-    # arrays that split into components: an imaginary part on an unlinked
-    # diagonal entry, and an entry whose mirror is zero
+    # a diagonal array with an imaginary part on a population, and arrays
+    # with an entry whose mirror is zero
     for at, value in (((1, 1), 0.1 + 1e-6j), ((0, 3), 1e-6), ((3, 0), 1e-6)):
         split = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
         split[at] = value

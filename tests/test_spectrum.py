@@ -34,10 +34,10 @@ from strategies import BETAS, specs, structured_states
 
 
 def random_chains(rng, dim: int) -> DensityMatrix:
-    """Random state whose blocks are paths in shuffled index order.
+    """Random state, tridiagonal in shuffled index order, given as a dense array.
 
     B B^T of an upper-bidiagonal B is tridiagonal; zeroed superdiagonal
-    entries cut the path, so components take several propagation hops.
+    entries cut the path into pieces, which the state keeps as one block.
     """
     upper = rng.standard_normal(dim - 1) * (rng.uniform(size=dim - 1) < 0.8)
     factor = np.diag(rng.uniform(0.5, 1.0, dim)) + np.diag(upper, 1)
@@ -108,8 +108,8 @@ def test_min_pt_eigenvalue_matches_dense(spec, beta_prime, angle, seed, drawn, d
 
 
 def test_min_pt_eigenvalue_of_a_dense_array_over_several_slabs():
-    # the random dense state is one 256 x 256 block, scattered into its
-    # components 128 rows at a time; the chains are already split into paths
+    # each state is one 256 x 256 block, scattered into the partial
+    # transpose's components 128 rows at a time
     spec = SystemSpec.qubits(8, 1.0)
     rng = np.random.default_rng(8)
     for state in (random_chains(rng, spec.dim), random_density_matrix(rng, spec.dim)):
@@ -176,26 +176,31 @@ def test_one_sided_tiny_entry_links_a_block(monkeypatch):
         assert abs(value - dense) <= 1e-15
 
 
-def test_a_dense_array_is_solved_by_its_components(monkeypatch):
+def test_a_dense_array_is_one_block_unless_diagonal(monkeypatch):
     spec = SystemSpec.qubits(8, 1.0)
-    parts = apply_unitary(product_thermal_state(spec, 1.5), pair_rotation_unitary(spec, 0.4))
+    product = product_thermal_state(spec, 1.5)
+    parts = apply_unitary(product, pair_rotation_unitary(spec, 0.4))
     shapes = spy_eigvalsh(monkeypatch)
+    # the rotated product's 2 x 2 blocks, given densely, are one block over every index
     given_densely = DensityMatrix(parts.entries)
-    assert np.array_equal(state_eigenvalues(given_densely), state_eigenvalues(parts))
-    assert shapes and all(shape[1:] == (2, 2) for shape in shapes), shapes
-    # an array whose first row has no zero is kept as one block
+    assert [index.tolist() for index, _ in given_densely.groups] == [[list(range(spec.dim))]]
+    assert not given_densely.populations.any()
+    lam = state_eigenvalues(given_densely)
+    assert shapes == [(1, spec.dim, spec.dim)]
+    assert float(np.abs(lam - state_eigenvalues(parts)).max()) <= 1e-12
+    # a diagonal array is its populations, with nothing to solve
+    diagonal = DensityMatrix(product.entries)
+    assert not diagonal.groups
+    assert np.array_equal(diagonal.populations, product.populations)
+    # an unpopulated index of a coupled array stays in the one block
     whole = random_density_matrix(np.random.default_rng(3), 16)
-    assert [index.shape for index, _ in whole.groups] == [(1, 16)]
-    # with index 0 unpopulated, the other indices are one component around
-    # the busiest row, and index 0 is a population
     unpopulated = whole.entries.copy()
     unpopulated[0] = unpopulated[:, 0] = 0.0
     unpopulated /= unpopulated.trace()
-    split = DensityMatrix(unpopulated)
-    assert [index.tolist() for index, _ in split.groups] == [[list(range(1, 16))]]
-    assert split.populations[0] == 0.0
+    kept = DensityMatrix(unpopulated)
+    assert [index.tolist() for index, _ in kept.groups] == [[list(range(16))]]
     expected = np.sort(np.linalg.eigvalsh(unpopulated))[::-1]
-    assert float(np.abs(state_eigenvalues(split) - expected).max()) <= 1e-12
+    assert float(np.abs(state_eigenvalues(kept) - expected).max()) <= 1e-12
 
 
 def test_spectrum_is_solved_once_per_state(monkeypatch):

@@ -85,8 +85,8 @@ def test_parts_agree_with_the_dense_matrix(drawn):
     spectrum = np.sort(np.linalg.eigvalsh(dense))[::-1]
     assert not rho.populations.flags.writeable
     assert not any(a.flags.writeable for group in rho.groups for a in group)
-    # the same state given as a dense array (split into its components) and
-    # held as one dense block
+    # the same state given as a dense array (one block unless it is diagonal)
+    # and held as one dense block
     one_block = DensityMatrix(core._single_block(dense))
     for state in (rho, DensityMatrix(dense), one_block):
         assert float(np.abs(state_eigenvalues(state) - spectrum).max()) <= 1e-12
@@ -118,7 +118,7 @@ def per_site_marginal(rho: DensityMatrix, spec: SystemSpec, keep: int) -> np.nda
 
 
 def qutrit_states():
-    """d = 3 states: the entangled family, and callers' dense arrays of one and two components."""
+    """d = 3 states: the entangled family, and callers' dense arrays, one of two disjoint parts."""
     spec = SystemSpec(n=3, d=3, local_energies=(0.0, 1.0, 1.7), beta=1.0)
     rng = np.random.default_rng(5)
     split = np.zeros((spec.dim, spec.dim), dtype=complex)
