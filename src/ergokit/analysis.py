@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (PSD_TOL, DensityMatrix, SystemSpec, _check_bytes,
-                   _component_blocks, _component_labels, _integer, _marginals, _parts_eigenvalues,
-                   _binomial_weight, _real, _spectrum_entropy, _stack_eigenvalues,
-                   _subsystem_index, von_neumann_entropy)
+                   _component_blocks, _component_labels, _integer, _items, _marginals,
+                   _parts_eigenvalues, _binomial_weight, _real, _spectrum_entropy,
+                   _stack_eigenvalues, _subsystem_index, von_neumann_entropy)
 from .errors import DomainError, ShapeError, UnsupportedError, ValidityError
 from .passivity import _energy, _level_table, thermal_entropy, thermal_params
 
@@ -36,7 +36,7 @@ class Bipartition:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "subsystem count"))
-        side = frozenset(_subsystem_index(i, self.n) for i in self.side_a)
+        side = frozenset(_subsystem_index(i, self.n) for i in _items(self.side_a, "side_a"))
         object.__setattr__(self, "side_a", side)
         if not side or len(side) >= self.n:
             raise DomainError("both sides of a bipartition must be nonempty")

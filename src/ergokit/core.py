@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +79,9 @@ class SystemSpec:
     d: int
     local_energies: tuple[float, ...]
     beta: float
+    # the Gibbs weights at beta, set by passivity.thermal_params on first use;
+    # not a field, so equality, hash, repr and dataclasses.replace ignore it
+    _reference = None
 
     def __post_init__(self):
         if type(self.n) is not int or type(self.d) is not int or type(self.beta) is not float:
@@ -88,7 +92,8 @@ class SystemSpec:
             raise DomainError(f"subsystem count must be positive, got {self.n}")
         if self.d < 2:
             raise DomainError(f"local dimension must be at least 2, got {self.d}")
-        energies = tuple(_real(e, "local energy") for e in self.local_energies)
+        energies = tuple(_real(e, "local energy") for e in _items(self.local_energies,
+                                                                  "local energies"))
         object.__setattr__(self, "local_energies", energies)
         if len(energies) != self.d:
             raise DomainError(
@@ -159,14 +164,20 @@ def _check_bytes(size: int, what: str):
                             f"over the limit of {_power_of_two(DENSE_BYTES_MAX)}")
 
 
+# the two checks below run on every state and unitary; each names its array
+# only when it raises
+
 def _check_dense_size(dim: int):
     """Raise CapacityError before a dense complex dim x dim array over DENSE_BYTES_MAX."""
-    _check_bytes(16 * dim * dim, f"a dense {_power_of_two(dim)} x {_power_of_two(dim)} matrix")
+    if 16 * dim * dim > DENSE_BYTES_MAX:
+        side = _power_of_two(dim)
+        _check_bytes(16 * dim * dim, f"a dense {side} x {side} matrix")
 
 
 def _check_vector_size(dim: int):
     """Raise CapacityError before state-sized vectors, 64 bytes an index, over DENSE_BYTES_MAX."""
-    _check_bytes(64 * dim, f"a state of dimension {_power_of_two(dim)}")
+    if 64 * dim > DENSE_BYTES_MAX:
+        _check_bytes(64 * dim, f"a state of dimension {_power_of_two(dim)}")
 
 
 def _integer(value, what: str) -> int:
@@ -190,11 +201,23 @@ def _real(value, what: str) -> float:
 
 
 def _array(value, dtype) -> np.ndarray:
-    """value as an array of dtype, itself if it is one; ValidityError for entries not numbers."""
+    """value as an array of dtype, itself if it is one; ValidityError for entries not numbers
+    or past the dtype's range."""
     try:
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:  # NumPy's errors for non-numbers
         raise ValidityError(f"entries must be numbers: {exc}") from None
+    except OverflowError as exc:  # an int too large for an int64 array
+        raise ValidityError(f"entries out of range for {np.dtype(dtype)}: {exc}") from None
+
+
+def _items(value, what: str) -> tuple:
+    """value's items as a tuple; DomainError if it is not iterable."""
+    if type(value) is tuple:
+        return value
+    if not isinstance(value, Iterable):
+        raise DomainError(f"{what} {value!r} is not a sequence")
+    return tuple(value)
 
 
 def _subsystem_index(index, n: int) -> int:
@@ -253,7 +276,7 @@ class _Record:
 
     def __init__(self, spec: SystemSpec, counts, pops, blocks=()):
         self.spec, self.counts, self.pops, self.blocks = spec, counts, pops, blocks
-        self.sizes = [math.factorial(spec.n) // math.prod(map(math.factorial, c)) for c in counts]
+        self.sizes = [_multinomial(c) for c in counts]
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending: class and block values by multiplicity, then zeros."""
@@ -274,6 +297,15 @@ class _Record:
             pops[at] = pop / size
         return _Parts(pops, [(np.array([[c.index(n) for c in counts]]) * single, values[None])
                              for counts, values in self.blocks])
+
+
+def _multinomial(counts) -> int:
+    """n! / prod(c!) for n = sum(counts), as a product of binomials."""
+    size, left = 1, 0
+    for c in counts:
+        left += c
+        size *= math.comb(left, c)
+    return size
 
 
 def _single_block(arr: np.ndarray) -> _Parts:
@@ -406,17 +438,21 @@ class DensityMatrix:
 class StructuredUnitary:
     """Sparse unitary: independent 2-dimensional rotations plus identity.
 
-    Built from a sequence of (index_a, index_b, angle) rotations, or by
-    from_pairs from index and angle arrays.  All indices are pairwise
-    distinct, so the rotations commute and the matrix is exactly unitary.
+    Built from a sequence of (index_a, index_b, angle) rotations (other
+    items raise ShapeError), or by from_pairs from index and angle arrays.
+    All indices are pairwise distinct, so the rotations commute and the
+    matrix is exactly unitary.
     The 2x2 block on (index_a, index_b) is ((cos, sin), (-sin, cos)).
     rotations lists the triples, derived on first access.
     """
 
     def __init__(self, rotations, dim: int):
-        rots = tuple(rotations)
-        pairs = _array([(a, b) for a, b, _ in rots], np.int64).reshape(-1, 2)
-        self._set(pairs.T, _array([t for _, _, t in rots], float), dim)
+        table = _array(_items(rotations, "rotations"), object)
+        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != 3):
+            raise ShapeError(f"rotations must be (index_a, index_b, angle) triples, "
+                             f"got an array of shape {table.shape}")
+        table = table.reshape(-1, 3)
+        self._set(_array(table[:, :2], np.int64).T, _array(table[:, 2], float), dim)
 
     @classmethod
     def from_pairs(cls, index_a, index_b, angles, dim: int) -> "StructuredUnitary":

@@ -85,13 +85,28 @@ def thermal_params(spec: SystemSpec, beta: Optional[float] = None) -> ThermalPar
     """Gibbs populations, partition function and mean energy at beta.
 
     beta defaults to the reference inverse temperature of the spec.  The
-    d weights are Python floats, summed with math.fsum.  Each population,
-    Z, <E> and the entropy is within 2^-50 (1 + beta E_max) relative of
-    its exact value, or within four subnormal steps below the smallest
-    normal float: rounding beta E_a before the exponential moves a weight
-    by up to beta E_a ulp, and the rest rounds a few times.
+    weights at the reference beta are computed once per spec and kept on
+    it, so every later call at that beta returns the same ThermalParams.
+    The d weights are Python floats, summed with math.fsum.  Each
+    population, Z, <E> and the entropy is within 2^-50 (1 + beta E_max)
+    relative of its exact value, or within four subnormal steps below the
+    smallest normal float: rounding beta E_a before the exponential moves a
+    weight by up to beta E_a ulp, and the rest rounds a few times.
     """
-    b = spec.beta if beta is None else _real(beta, "inverse temperature")
+    if beta is not None:
+        b = _real(beta, "inverse temperature")
+        # 0.0 == -0.0, but the two give beta_prime different signs
+        if b != spec.beta or b == 0.0:
+            return _gibbs(spec, b)
+    params = spec._reference
+    if params is None:
+        params = _gibbs(spec, spec.beta)
+        object.__setattr__(spec, "_reference", params)
+    return params
+
+
+def _gibbs(spec: SystemSpec, b: float) -> ThermalParams:
+    """The Gibbs weights of thermal_params at inverse temperature b."""
     if b < 0.0 or not math.isfinite(b):
         raise DomainError(f"inverse temperature must be finite and >= 0, got {b}")
     ladder = spec.local_energies
@@ -177,18 +192,20 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
     """Invert the thermal-entropy map: find beta' with S(tau_beta') = s.
 
     A bracketed Newton iteration on beta', starting at the reference beta
-    (at 1/gap when that is 0 or at the sentinel), so s = S(tau_beta)
-    returns beta itself, with the slope dS/dbeta' = -beta' Var(E).  The
-    Newton step is taken on ln S, because S falls like beta' E e^(-beta' E)
-    at large beta', where a step on S itself moves beta' by only about 1/E;
-    a step that does not land strictly inside the bracket is replaced by a
-    bisection, geometric while the bracket spans more than a factor of 4
-    above a positive lower end.  The iteration stops once the Newton step
-    lands within 4 ulp of beta', the stop of the shell-weight solve in
-    `families`, or when the bracket can no longer be split; Newton
-    converges quadratically, so beta' is then as right as the rounding of
-    S at it allows.  s = ln d returns beta' = 0; s at or below the
-    sentinel entropy returns the beta_max sentinel.
+    (at 1/gap when that is 0 or at the sentinel), whose weights the spec
+    already holds (thermal_params), so s = S(tau_beta) returns beta itself,
+    with the slope dS/dbeta' = -beta' Var(E).  The Newton step is taken on
+    ln S, because S falls like beta' E e^(-beta' E) at large beta', where a
+    step on S itself moves beta' by only about 1/E; a step that does not
+    land strictly inside the bracket, or whose slope underflows to 0 (at a
+    subnormal beta'), is replaced by a bisection, geometric while the
+    bracket spans more than a factor of 4 above a positive lower end.  The
+    iteration stops once the Newton step lands within 4 ulp of beta', the
+    stop of the shell-weight solve in `families`, or when the bracket can
+    no longer be split; Newton converges quadratically, so beta' is then as
+    right as the rounding of S at it allows.  s = ln d returns beta' = 0;
+    s at or below the sentinel entropy returns the beta_max sentinel, and a
+    gap so small that the sentinel overflows raises DomainError.
     """
     s = _real(entropy_per_subsystem, "entropy per subsystem")
     s_max = math.log(spec.d)
@@ -201,6 +218,9 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
         return thermal_params(spec, 0.0)
     gap = spec.energy_gap if spec.energy_gap > 0.0 else 1.0
     beta_max = BETA_MAX_SCALE / gap
+    if beta_max == math.inf:
+        raise DomainError(f"energy gap {gap!r} is too small for the entropy solve: "
+                          f"its sentinel beta_max = {BETA_MAX_SCALE:g} / gap overflows")
     floor_params = thermal_params(spec, beta_max)
     if s <= floor_params.entropy:
         return floor_params
@@ -212,9 +232,10 @@ def beta_for_entropy(spec: SystemSpec, entropy_per_subsystem: float) -> ThermalP
         entropy = params.entropy
         variance = (math.fsum(p * e * e for p, e in zip(params.populations, ladder))
                     - params.mean_energy ** 2)
+        slope = beta * variance  # -dS/dbeta'
         step = math.nan
-        if entropy > 0.0 and variance > 0.0:
-            step = beta + (math.log(entropy) - math.log(s)) * entropy / (beta * variance)
+        if entropy > 0.0 and slope > 0.0:
+            step = beta + (math.log(entropy) - math.log(s)) * entropy / slope
         if abs(step - beta) <= 4.0 * math.ulp(beta):
             return params
         if entropy > s:

@@ -5,7 +5,10 @@ import ast
 import builtins
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +389,15 @@ def test_verify_json_report(monkeypatch, capsys, verify_all):
         {"name": "bounds/broken", "passed": False, "detail": "boom", "seconds": 0.0}]
 
 
+def test_python_dash_m_ergokit_runs_the_cli():
+    src = Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-m", "ergokit", "verify", "--suite", "passivity"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "[PASS] passivity/thermal-products-passive" in done.stdout
+
+
 @pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
 @pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_a_check_draws_the_same_alone_as_under_all(suite, seed, monkeypatch):
@@ -546,9 +558,22 @@ def test_float_options_read_exponent_negatives(name, flag, value, capsys):
 
 QUBITS = SystemSpec.qubits(4, 1.0)
 QUTRITS = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
+# the smallest positive beta, where the entropy solve's slope beta' Var(E) is 0,
+# and the same spec at a normal beta with the same Gibbs weights
+SUBNORMAL_BETA = SystemSpec.qubits(2, 5e-324)
+TINY_BETA = SystemSpec.qubits(2, 1e-300)
+
+
+def _same_figure1_rows(beta_e: float, n_max: int) -> bool:
+    pairs = zip(figure1_rows(beta_e, n_max), figure1_rows(1e-300, n_max))
+    return all(a.separable_ratio == b.separable_ratio
+               and abs(a.entropy_bound_ratio - b.entropy_bound_ratio) <= 1e-15 for a, b in pairs)
+
 
 # a call at each edge no other test reaches -> the error it raises, and the
-# command line that reaches it, if any
+# command line that reaches it, if any.  The error may be a pair (type, the
+# start of its message); None marks an input that has an answer: the call
+# checks it and returns True, and the command line exits 0.
 EDGE_INPUTS = {
     "witness-on-qutrits": (lambda: npt_witness_half_split(QUTRITS, 1.0, 0.3),
                            UnsupportedError, None),
@@ -655,17 +680,52 @@ EDGE_INPUTS = {
                                         DomainError, None),
     "local-energy-a-string": (lambda: SystemSpec.qubits(2, 1.0, energy="x"), DomainError, None),
     "unitary-dimension-fractional": (lambda: StructuredUnitary([], 4.5), DomainError, None),
+    # a subnormal beta: the entropy solve bisects where its slope underflows
+    "subnormal-beta-entropy-solve": (
+        lambda: abs(beta_for_entropy(SUBNORMAL_BETA, 0.5).entropy - 0.5) <= 1e-12, None, None),
+    "subnormal-beta-entropy-bound": (
+        lambda: abs(entropy_constrained_bound(SUBNORMAL_BETA, 1.0)
+                    - entropy_constrained_bound(TINY_BETA, 1.0)) <= 1e-15, None, None),
+    "subnormal-beta-figure1": (lambda: _same_figure1_rows(5e-324, 3), None,
+                               ["figure1", "--beta", "5e-324"]),
+    "subnormal-beta-sweep": (
+        lambda: [r["status"] for r in sweep_rows(SweepConfig("separable", (2, 3),
+                                                              beta=5e-324))] == ["ok", "ok"],
+        None, ["sweep", "--family", "separable", "--n", "2:3", "--beta", "5e-324"]),
+    # a gap so small that the entropy solve's sentinel 1e6 / gap overflows
+    "sentinel-of-a-subnormal-gap": (
+        lambda: cli._family_values(cli._spec(2, 2, 1.0, (0.0, 5e-324)), "separable"),
+        (DomainError, "energy gap 5e-324 is too small for the entropy solve"),
+        ["sweep", "--family", "separable", "--n", "2:3", "--energy-ladder", "0,5e-324"]),
+    # constructors given the wrong kind of argument
+    "rotation-pairs-not-triples": (lambda: StructuredUnitary([(1, 2)], 4), ShapeError, None),
+    "rotation-index-past-int64": (lambda: StructuredUnitary.from_pairs([2 ** 70], [1], 0.1, 4),
+                                  ValidityError, None),
+    "bipartition-side-an-integer": (lambda: Bipartition(side_a=1, n=3), DomainError, None),
+    "spec-ladder-none": (lambda: SystemSpec(n=2, d=2, local_energies=None, beta=1.0),
+                         DomainError, None),
 }
 
 
 @pytest.mark.parametrize("call, error, argv", EDGE_INPUTS.values(), ids=EDGE_INPUTS)
 def test_edge_inputs_raise_their_typed_error(call, error, argv, capsys):
+    if error is None:
+        assert call() is True
+        assert argv is None or main(argv) == 0
+        return
+    error, start = error if isinstance(error, tuple) else (error, "")
     with pytest.raises(error) as raised:
         call()
     assert raised.type is error
-    if argv is not None:  # the CLI reaches this one: usage or domain error, exit 2
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert str(raised.value).startswith(start)
+    if argv is None:
+        return
+    code, out = main(argv), capsys.readouterr()
+    if code == 0:  # a sweep cell: the error is its row's note
+        assert f",infeasible,{',' * 10}{cli._note(raised.value)}\n" in out.out
+    else:  # usage or domain error, exit 2
+        assert code == 2
+        assert out.err == f"error: {raised.value}\n"
 
 
 # builtin exceptions that src/ may not raise: each input error has a typed ErgokitError

@@ -98,6 +98,44 @@ def test_state_sized_arrays_are_refused_before_they_are_built(monkeypatch):
         assert peak < 1 << 20, name
 
 
+def test_size_checks_name_their_array_only_when_they_raise(monkeypatch):
+    qutrits = SystemSpec(n=3, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
+    qubits = SystemSpec.qubits(4, 1.0)
+    over = [
+        (lambda: hamming_weights.__wrapped__(25),
+         "a state of dimension 2^25 needs 2^31 bytes, over the limit of 2^30"),
+        (lambda: DensityMatrix.from_diagonal(np.full(2 ** 14, 2.0 ** -14)).entries,
+         "a dense 2^14 x 2^14 matrix needs 2^32 bytes, over the limit of 2^30"),
+        (lambda: separable_optimal_state(SystemSpec(n=16, d=3, local_energies=(0.0, 1.0, 2.0),
+                                                    beta=1.0)),
+         "a state of dimension ~2^25.4 needs ~2^31.4 bytes, over the limit of 2^30"),
+        (lambda: StructuredUnitary([], 2 ** 25),
+         "a state of dimension 2^25 needs 2^31 bytes, over the limit of 2^30"),
+        (lambda: StructuredUnitary([], 3 ** 9).materialize(),
+         "a dense ~2^14.3 x ~2^14.3 matrix needs ~2^32.5 bytes, over the limit of 2^30"),
+    ]
+
+    def unformatted(size):
+        raise AssertionError(f"a check under the budget formatted its size {size}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_power_of_two", unformatted)
+        states = [entangled_pure_state(qutrits), separable_optimal_state(qutrits),
+                  product_thermal_state(qutrits), dicke_thermal_mixture(qubits),
+                  diagonal_state_at_entropy(qubits, 1.5)[0]]
+        for state in states:
+            assert state.entries.shape == (state.dim, state.dim)
+        unitary = StructuredUnitary([(0, 3, 0.4), (1, 2, 0.9)], 4)
+        assert unitary.materialize().shape == (4, 4)
+        apply_unitary(product_thermal_state(SystemSpec.qubits(2, 1.0)), unitary)
+        hamming_weights.cache_clear()
+        assert hamming_weights(10).size == 1024
+    for call, text in over:  # the message, built on raising, is as it was
+        with pytest.raises(CapacityError) as raised:
+            call()
+        assert str(raised.value) == text
+
+
 def test_hamming_weights_and_negation():
     w = hamming_weights(4)
     assert [w[0], w[1], w[15]] == [0, 1, 4]

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ergokit import (
     thermal_params,
     thermal_state,
 )
-from ergokit import passivity, verify
+from ergokit import cli, passivity, verify
 from ergokit.figures import figure1_rows
 from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.reporting import format_value
@@ -521,6 +522,58 @@ def test_beta_for_entropy_needs_few_gibbs_evaluations(monkeypatch):
     assert np.median(new) <= 8, np.median(new)
     worse = [(n, o) for n, o in zip(new, old) if n > o]
     assert not worse, worse
+
+
+def count_reference_weights(monkeypatch, beta: float) -> list:
+    """Record every e^(-beta E_1) that passivity evaluates for a qubit spec at beta, E_1 = 1.
+
+    Spies on the Gibbs arithmetic itself, so a cached weight is not counted
+    however often thermal_params returns it.
+    """
+    calls = []
+
+    def exp(x):
+        if x == -beta:
+            calls.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(passivity, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    return calls
+
+
+@pytest.mark.parametrize("family", cli.SWEEP_FAMILIES)
+def test_a_sweep_row_evaluates_its_reference_gibbs_state_once(monkeypatch, family):
+    calls = count_reference_weights(monkeypatch, 0.7)
+    for n in (3, 4, 5):
+        del calls[:]
+        [row] = cli.sweep_rows(cli.SweepConfig(family, (n,), beta=0.7, total_entropy=1.0))
+        assert row["status"] == "ok", row
+        assert len(calls) == 1, (n, len(calls))
+
+
+def test_a_figure1_row_evaluates_its_reference_gibbs_state_once(monkeypatch):
+    calls = count_reference_weights(monkeypatch, 0.7)
+    rows = figure1_rows(0.7, 5)
+    assert len(rows) == 5 and len(calls) == 5
+
+
+def test_the_reference_gibbs_state_leaves_the_spec_as_it_was():
+    spec = SystemSpec.qubits(3, 1.0)
+    before = (repr(spec), hash(spec))
+    params = thermal_params(spec)
+    assert (repr(spec), hash(spec)) == before
+    assert spec == SystemSpec.qubits(3, 1.0) and spec != SystemSpec.qubits(3, 2.0)
+    assert thermal_params(spec, 1.0) is params and thermal_params(spec, np.float64(1.0)) is params
+    with pytest.raises(DomainError):  # converted before it is compared with spec.beta
+        thermal_params(spec, True)
+    hotter = dataclasses.replace(spec, beta=2.0)
+    assert thermal_params(hotter).beta_prime == 2.0
+    assert thermal_params(hotter) == thermal_params(spec, 2.0)
+    assert thermal_params(spec) is params
+    # -0.0 equals 0.0, but its weights carry its own sign, as without a cache
+    flat = SystemSpec.qubits(2, 0.0)
+    assert math.copysign(1.0, thermal_params(flat, -0.0).beta_prime) == -1.0
+    assert math.copysign(1.0, thermal_params(flat).beta_prime) == 1.0
 
 
 def closed_form_qubit_entropy(x: float) -> float:
