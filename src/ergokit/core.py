@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,11 +156,16 @@ def _power_of_two(size: int) -> str:
     return f"~2^{math.log2(size):.1f}"
 
 
+def _capacity_error(size: int, what: str) -> CapacityError:
+    """The CapacityError for what, which needs size bytes."""
+    return CapacityError(f"{what} needs {_power_of_two(size)} bytes, "
+                         f"over the limit of {_power_of_two(DENSE_BYTES_MAX)}")
+
+
 def _check_bytes(size: int, what: str):
     """Raise CapacityError before building arrays of size bytes over DENSE_BYTES_MAX."""
     if size > DENSE_BYTES_MAX:
-        raise CapacityError(f"{what} needs {_power_of_two(size)} bytes, "
-                            f"over the limit of {_power_of_two(DENSE_BYTES_MAX)}")
+        raise _capacity_error(size, what)
 
 
 # the two checks below run on every state and unitary; each names its array
@@ -169,15 +173,17 @@ def _check_bytes(size: int, what: str):
 
 def _check_dense_size(dim: int):
     """Raise CapacityError before a dense complex dim x dim array over DENSE_BYTES_MAX."""
-    if 16 * dim * dim > DENSE_BYTES_MAX:
+    size = 16 * dim * dim
+    if size > DENSE_BYTES_MAX:
         side = _power_of_two(dim)
-        _check_bytes(16 * dim * dim, f"a dense {side} x {side} matrix")
+        raise _capacity_error(size, f"a dense {side} x {side} matrix")
 
 
 def _check_vector_size(dim: int):
     """Raise CapacityError before state-sized vectors, 64 bytes an index, over DENSE_BYTES_MAX."""
-    if 64 * dim > DENSE_BYTES_MAX:
-        _check_bytes(64 * dim, f"a state of dimension {_power_of_two(dim)}")
+    size = 64 * dim
+    if size > DENSE_BYTES_MAX:
+        raise _capacity_error(size, f"a state of dimension {_power_of_two(dim)}")
 
 
 def _integer(value, what: str) -> int:
@@ -212,12 +218,13 @@ def _array(value, dtype) -> np.ndarray:
 
 
 def _items(value, what: str) -> tuple:
-    """value's items as a tuple; DomainError if it is not iterable."""
+    """value's items as a tuple; DomainError if it cannot be iterated."""
     if type(value) is tuple:
         return value
-    if not isinstance(value, Iterable):
-        raise DomainError(f"{what} {value!r} is not a sequence")
-    return tuple(value)
+    try:
+        return tuple(value)
+    except TypeError:  # not iterable, as None, an int or a 0-d array
+        raise DomainError(f"{what} {value!r} is not a sequence") from None
 
 
 def _subsystem_index(index, n: int) -> int:
@@ -276,7 +283,7 @@ class _Record:
 
     def __init__(self, spec: SystemSpec, counts, pops, blocks=()):
         self.spec, self.counts, self.pops, self.blocks = spec, counts, pops, blocks
-        self.sizes = [_multinomial(c) for c in counts]
+        self.sizes = [math.factorial(spec.n) // math.prod(map(math.factorial, c)) for c in counts]
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending: class and block values by multiplicity, then zeros."""
@@ -297,15 +304,6 @@ class _Record:
             pops[at] = pop / size
         return _Parts(pops, [(np.array([[c.index(n) for c in counts]]) * single, values[None])
                              for counts, values in self.blocks])
-
-
-def _multinomial(counts) -> int:
-    """n! / prod(c!) for n = sum(counts), as a product of binomials."""
-    size, left = 1, 0
-    for c in counts:
-        left += c
-        size *= math.comb(left, c)
-    return size
 
 
 def _single_block(arr: np.ndarray) -> _Parts:

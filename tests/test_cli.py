@@ -573,7 +573,9 @@ def _same_figure1_rows(beta_e: float, n_max: int) -> bool:
 # a call at each edge no other test reaches -> the error it raises, and the
 # command line that reaches it, if any.  The error may be a pair (type, the
 # start of its message); None marks an input that has an answer: the call
-# checks it and returns True, and the command line exits 0.
+# checks it and returns True, and the command line exits 0.  A command line
+# exits 2 with the error on stderr, unless given as (argv, 0): a sweep that
+# exits 0 with the error as its row's note.
 EDGE_INPUTS = {
     "witness-on-qutrits": (lambda: npt_witness_half_split(QUTRITS, 1.0, 0.3),
                            UnsupportedError, None),
@@ -696,7 +698,7 @@ EDGE_INPUTS = {
     "sentinel-of-a-subnormal-gap": (
         lambda: cli._family_values(cli._spec(2, 2, 1.0, (0.0, 5e-324)), "separable"),
         (DomainError, "energy gap 5e-324 is too small for the entropy solve"),
-        ["sweep", "--family", "separable", "--n", "2:3", "--energy-ladder", "0,5e-324"]),
+        (["sweep", "--family", "separable", "--n", "2:3", "--energy-ladder", "0,5e-324"], 0)),
     # constructors given the wrong kind of argument
     "rotation-pairs-not-triples": (lambda: StructuredUnitary([(1, 2)], 4), ShapeError, None),
     "rotation-index-past-int64": (lambda: StructuredUnitary.from_pairs([2 ** 70], [1], 0.1, 4),
@@ -704,6 +706,10 @@ EDGE_INPUTS = {
     "bipartition-side-an-integer": (lambda: Bipartition(side_a=1, n=3), DomainError, None),
     "spec-ladder-none": (lambda: SystemSpec(n=2, d=2, local_energies=None, beta=1.0),
                          DomainError, None),
+    "spec-ladder-a-0d-array": (
+        lambda: SystemSpec(n=2, d=2, local_energies=np.array(0.0), beta=1.0), DomainError, None),
+    "bipartition-side-a-0d-array": (lambda: Bipartition(side_a=np.array(1), n=3),
+                                    DomainError, None),
 }
 
 
@@ -720,19 +726,20 @@ def test_edge_inputs_raise_their_typed_error(call, error, argv, capsys):
     assert str(raised.value).startswith(start)
     if argv is None:
         return
-    code, out = main(argv), capsys.readouterr()
-    if code == 0:  # a sweep cell: the error is its row's note
-        assert f",infeasible,{',' * 10}{cli._note(raised.value)}\n" in out.out
-    else:  # usage or domain error, exit 2
-        assert code == 2
+    argv, code = argv if isinstance(argv, tuple) else (argv, 2)
+    assert main(argv) == code
+    out = capsys.readouterr()
+    if code == 2:  # usage or domain error
         assert out.err == f"error: {raised.value}\n"
+    else:  # a sweep cell: the error is its row's note
+        assert f",infeasible,{',' * 10}{cli._note(raised.value)}\n" in out.out
 
 
 # builtin exceptions that src/ may not raise: each input error has a typed ErgokitError
 UNTYPED_RAISES = {"ValueError", "TypeError", "OverflowError"}
 # the only functions that catch a conversion's TypeError or ValueError, to type it
 CONVERSIONS = {("core.py", "_integer"), ("core.py", "_real"), ("core.py", "_array"),
-               ("cli.py", "_parsed")}
+               ("core.py", "_items"), ("cli.py", "_parsed")}
 
 
 def _caught_names(handler: ast.ExceptHandler) -> list:

@@ -136,16 +136,6 @@ def test_a_spec_level_table_holds_the_sorted_basis_energies(spec):
     np.testing.assert_allclose(levels.per_index(), energies, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("n, d", [(1, 2), (7, 2), (60, 2), (6, 3), (5, 5), (30, 4)])
-def test_a_record_class_holds_its_multinomial_count_of_basis_states(n, d):
-    spec = SystemSpec(n=n, d=d, local_energies=tuple(map(float, range(d))), beta=1.0)
-    counts = [c for c in np.ndindex(*(n + 1,) * d) if sum(c) == n]
-    record = core._Record(spec, counts, [1.0 / len(counts)] * len(counts))
-    assert record.sizes == [math.factorial(n) // math.prod(map(math.factorial, c))
-                            for c in counts]
-    assert sum(record.sizes) == spec.dim
-
-
 @pytest.mark.parametrize("family, n, d", [
     ("entangled", 10, 2), ("separable", 10, 2), ("fixed-entropy", 10, 2),
     ("entangled", 6, 3), ("separable", 6, 3),
