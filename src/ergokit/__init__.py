@@ -24,7 +24,6 @@ from .core import (
     SystemSpec,
     apply_unitary,
     build_hamiltonian,
-    hamming_weights,
     partial_trace_to,
     state_eigenvalues,
     von_neumann_entropy,
@@ -43,11 +42,8 @@ from .errors import (
 from .families import (
     DiagonalFamilyParams,
     diagonal_state_at_entropy,
-    dicke_index_set,
     dicke_thermal_mixture,
     entangled_pure_state,
-    gibbs_weighted_superposition,
-    product_thermal_diagonal,
     product_thermal_state,
     separable_optimal_state,
     smallest_shell_for_entropy,

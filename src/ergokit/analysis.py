@@ -131,19 +131,24 @@ def npt_witness_half_split(spec: SystemSpec, beta_prime: float, angle: float) ->
     Returns sin(2 angle) (1 - e^(-beta' E n)) - 2 e^(-beta' E n / 2); a
     positive value certifies entanglement of the angle-rotated product
     thermal state across the half/half split (even n).  It tracks a single
-    coherence pair, so a negative value decides nothing.
+    coherence pair, so a negative value decides nothing.  beta' must be
+    finite and >= 0, and the angle finite.
     """
     if spec.d != 2:
         raise UnsupportedError("the closed-form witness applies to qubits only")
     if spec.n % 2:
         raise DomainError("the half/half witness requires an even subsystem count")
     beta_prime, angle = _real(beta_prime, "inverse temperature"), _real(angle, "angle")
+    if not (beta_prime >= 0.0 and math.isfinite(beta_prime)):
+        raise DomainError(f"inverse temperature must be finite and >= 0, got {beta_prime}")
+    if not math.isfinite(angle):
+        raise DomainError(f"rotation angle must be finite, got {angle}")
     x = beta_prime * spec.energy_gap * spec.n
     return math.sin(2.0 * angle) * (1.0 - math.exp(-x)) - 2.0 * math.exp(-x / 2.0)
 
 
 def free_energy(rho: DensityMatrix, hamiltonian, beta: float) -> float:
-    """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0."""
+    """F = Tr(H rho) - S(rho)/beta at inverse temperature beta > 0; H is a vector or a spec."""
     beta = _real(beta, "inverse temperature")
     if not beta > 0.0:
         raise DomainError(f"inverse temperature must be positive, got {beta}")

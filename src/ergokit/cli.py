@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .analysis import Bipartition, min_pt_eigenvalue
-from .core import SystemSpec, _check_bytes, _Levels, von_neumann_entropy
+from .core import SystemSpec, _check_bytes, von_neumann_entropy
 from .errors import (
     CapacityError,
     DomainError,
@@ -126,7 +126,7 @@ def _family_values(spec: SystemSpec, family: str, total_entropy=None,
     """Energies, entropy, work and bounds of one family state; raises on error."""
     state = build_family_state(spec, family, total_entropy)
     entropy = von_neumann_entropy(state)
-    report = ergotropy(state, _Levels.of_spec(spec), spec, total_entropy=entropy)
+    report = ergotropy(state, spec, total_entropy=entropy)
     values = {
         "initial_energy": report.initial_energy,
         "passive_energy": report.passive_energy,

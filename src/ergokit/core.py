@@ -123,14 +123,13 @@ class SystemSpec:
         return cls(n=n, d=2, local_energies=(0.0, energy), beta=beta)
 
 
-@lru_cache(maxsize=1, typed=True)
-def hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every linear index of an n-qubit register.
+@lru_cache(maxsize=1)
+def _hamming_weights(n: int) -> np.ndarray:
+    """Hamming weight of every linear index of an n-qubit register, read-only.
 
     The cache keeps the last n only, so a run over several sizes holds one
-    state-sized vector; it is typed, so True is not taken for a cached 1.
+    state-sized vector.
     """
-    n = _integer(n, "subsystem count")
     _check_vector_size(2 ** n)
     w = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -300,7 +299,7 @@ class _Record:
         single = (dim - 1) // (self.spec.d - 1)  # |a...a> is at linear index a * single
         pops = np.zeros(dim)
         for counts, pop, size in zip(self.counts, self.pops, self.sizes):
-            at = counts.index(n) * single if size == 1 else hamming_weights(n) == counts[1]
+            at = counts.index(n) * single if size == 1 else _hamming_weights(n) == counts[1]
             pops[at] = pop / size
         return _Parts(pops, [(np.array([[c.index(n) for c in counts]]) * single, values[None])
                              for counts, values in self.blocks])
@@ -572,7 +571,7 @@ class _Levels:
         if self.spec is None:
             return self.energies
         if self.spec.d == 2:
-            return self.energies[hamming_weights(self.spec.n)]
+            return self.energies[_hamming_weights(self.spec.n)]
         return build_hamiltonian(self.spec)
 
 

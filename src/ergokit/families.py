@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix, SystemSpec, _Parts, _Record, _check_bytes, _check_vector_size, _integer,
-    _real, hamming_weights,
+    DensityMatrix, SystemSpec, _Parts, _Record, _check_bytes, _check_vector_size,
+    _hamming_weights, _integer, _real,
 )
 from .errors import DomainError, InfeasibilityError, UnsupportedError
 from .passivity import thermal_params
@@ -45,27 +45,6 @@ class DiagonalFamilyParams:
     top_weight: float
     shell_weight: float
     shell_excitations: int
-
-
-def dicke_index_set(n: int, k: int) -> np.ndarray:
-    """All n-qubit basis indices with k excitations, ascending and read-only."""
-    n, k = _integer(n, "subsystem count"), _integer(k, "excitation count")
-    if not 0 <= k <= n:
-        raise DomainError(f"excitation count {k} outside [0, {n}]")
-    indices = np.flatnonzero(hamming_weights(n) == k)
-    indices.setflags(write=False)
-    return indices
-
-
-def gibbs_weighted_superposition(spec: SystemSpec) -> np.ndarray:
-    """Amplitude vector with weight e^(-beta E_a / 2)/sqrt(Z) on each |a...a>."""
-    params = thermal_params(spec)
-    _check_vector_size(spec.dim)
-    amp = np.zeros(spec.dim, dtype=complex)
-    rep = (spec.dim - 1) // (spec.d - 1)  # linear index of |a...a> is a * rep
-    for a, pop in enumerate(params.populations):
-        amp[a * rep] = math.sqrt(pop)
-    return amp
 
 
 def entangled_pure_state(spec: SystemSpec) -> DensityMatrix:
@@ -99,19 +78,14 @@ def _single_states(spec: SystemSpec) -> list:
     return [(0,) * a + (spec.n,) + (0,) * (spec.d - 1 - a) for a in range(spec.d)]
 
 
-def product_thermal_diagonal(spec: SystemSpec, beta_prime: float | None = None) -> np.ndarray:
-    """Populations of tau_beta'^(x n) in basis order, as a vector."""
+def product_thermal_state(spec: SystemSpec, beta_prime: float | None = None) -> DensityMatrix:
+    """Product of identical Gibbs states at inverse temperature beta_prime."""
     pops = np.asarray(thermal_params(spec, beta_prime).populations)
     _check_vector_size(spec.dim)
     diag = np.ones(1)
     for _ in range(spec.n):
         diag = np.multiply.outer(diag, pops).ravel()
-    return diag
-
-
-def product_thermal_state(spec: SystemSpec, beta_prime: float | None = None) -> DensityMatrix:
-    """Product of identical Gibbs states at inverse temperature beta_prime."""
-    return DensityMatrix.from_diagonal(product_thermal_diagonal(spec, beta_prime))
+    return DensityMatrix.from_diagonal(diag)
 
 
 def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
@@ -134,9 +108,10 @@ def dicke_thermal_mixture(spec: SystemSpec) -> DensityMatrix:
     p = thermal_params(spec).populations[1]
     # one constant block amp^2 per shell; shells of equal size share a group
     shells: dict[int, list] = {}
+    weights = _hamming_weights(n)
     for k in range(n + 1):
         amp = math.sqrt(p ** k * (1.0 - p) ** (n - k))
-        shells.setdefault(math.comb(n, k), []).append((dicke_index_set(n, k), amp * amp))
+        shells.setdefault(math.comb(n, k), []).append((np.flatnonzero(weights == k), amp * amp))
     groups = []
     for size, same in shells.items():
         # complex, since .imag of a real broadcast view allocates a full zero array
@@ -150,18 +125,22 @@ def smallest_shell_for_entropy(n: int, entropy: float) -> int:
     """Smallest D with ln C(n, D) >= entropy, capped at n//2.
 
     Beyond n//2 the binomial coefficients repeat by symmetry, so a larger
-    shell can never help.
+    shell can never help.  ln C(n, D) rises with D up to n//2, so D is
+    found by bisection, in O(log n) binomials.
     """
     n, entropy = _integer(n, "subsystem count"), _real(entropy, "entropy")
+    if n < 0:
+        raise DomainError(f"subsystem count must be nonnegative, got {n}")
     if not entropy >= 0.0:
         raise DomainError(f"entropy must be nonnegative, got {entropy}")
-    for shell in range(0, n // 2 + 1):
-        if math.log(math.comb(n, shell)) >= entropy:
-            return shell
     top = math.log(math.comb(n, n // 2))
-    raise InfeasibilityError(
-        f"entropy {entropy} exceeds ln C({n}, {n // 2}) = {top!r}"
-    )
+    if not top >= entropy:
+        raise InfeasibilityError(f"entropy {entropy} exceeds ln C({n}, {n // 2}) = {top!r}")
+    lo, hi = -1, n // 2  # ln C(n, hi) >= entropy, and lo is below the shell sought
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.log(math.comb(n, mid)) >= entropy else (mid, hi)
+    return hi
 
 
 def _xlnx(x: float) -> float:

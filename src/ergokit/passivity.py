@@ -4,8 +4,9 @@ The central quantity is the ergotropy of a state rho under a diagonal
 Hamiltonian H: the energy gap between rho and its passive counterpart,
 obtained by placing the eigenvalues of rho, sorted descending, onto the
 energy levels sorted ascending; the spectrum comes from `state_eigenvalues`,
-solved once per state.  H is an energy vector or a spec's level table
-(`core._Levels`), whose levels are sorted per class, not per basis state.
+solved once per state.  H is an energy vector or a SystemSpec, read as its
+level table (`core._Levels`), whose levels are sorted per class, not per
+basis state, so no 2^n energy vector is built or sorted.
 Thermal (Gibbs) states are the completely passive reference; the
 entropy-constrained bound is evaluated by inverting the thermal-entropy
 map with a bracketed Newton iteration.
@@ -134,8 +135,9 @@ def thermal_entropy(spec: SystemSpec, beta: Optional[float] = None) -> float:
 def passive_state(rho: DensityMatrix, hamiltonian) -> DensityMatrix:
     """Passive counterpart: descending eigenvalues on ascending energy levels.
 
-    Ties in energy are broken by ascending basis index (stable sort), which
-    fixes a deterministic representative without changing the energy.
+    hamiltonian is an energy vector or a SystemSpec.  Ties in energy are
+    broken by ascending basis index (stable sort), which fixes a
+    deterministic representative without changing the energy.
     """
     energies = _level_table(rho, hamiltonian).per_index()
     lam = state_eigenvalues(rho)
@@ -149,13 +151,16 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
               total_entropy: Optional[float] = None) -> WorkReport:
     """Maximal unitarily extractable work from rho under a diagonal H.
 
-    The passive energy is the descending spectrum times the ascending
-    levels, each repeated by its size.  When spec is given the report also
+    hamiltonian is an energy vector or a SystemSpec.  The passive energy is
+    the descending spectrum times the ascending levels, each repeated by its
+    size.  When spec is given, or hamiltonian is a spec, the report also
     carries the total-energy bound n * E_beta for locally thermal states
     and the ratio to it; passing total_entropy additionally fills the
     entropy-constrained bound.
     """
     levels = _level_table(rho, hamiltonian)
+    if spec is None and isinstance(hamiltonian, SystemSpec):
+        spec = hamiltonian
     initial = _energy(rho, levels)
     passive = float(state_eigenvalues(rho) @ levels.ascending())
     work = initial - passive
@@ -177,11 +182,11 @@ def ergotropy(rho: DensityMatrix, hamiltonian, spec: Optional[SystemSpec] = None
 
 
 def is_passive(rho: DensityMatrix, hamiltonian) -> bool:
-    """True iff no unitary lowers the energy of rho: its ergotropy is zero.
+    """True iff no unitary lowers the energy of rho under H, a vector or a spec.
 
-    Zero means at most 1e-12 * max(1, max|E|), read from the state's one
-    cached spectrum, so coherence too weak to give that much work reads as
-    passive.
+    Its ergotropy is zero: at most 1e-12 * max(1, max|E|), read from the
+    state's one cached spectrum, so coherence too weak to give that much
+    work reads as passive.
     """
     levels = _level_table(rho, hamiltonian)
     return bool(ergotropy(rho, levels).ergotropy
@@ -293,7 +298,12 @@ def separable_work_limit(spec: SystemSpec) -> float:
 
 
 def _level_table(rho: DensityMatrix, hamiltonian) -> _Levels:
-    """hamiltonian, a level table or an energy vector, as a level table of rho's dimension."""
+    """hamiltonian, a spec, a level table or an energy vector, as a table of rho's dimension."""
+    if isinstance(hamiltonian, SystemSpec):  # its table is built once its dimension matches
+        if hamiltonian.dim != rho.dim:
+            raise ShapeError(f"spec dimension {hamiltonian.d}^{hamiltonian.n} does not match "
+                             f"state dimension {rho.dim}")
+        return _Levels.of_spec(hamiltonian)
     levels = hamiltonian if isinstance(hamiltonian, _Levels) else \
         _Levels(_array(hamiltonian, float).ravel())
     if levels.dim != rho.dim:

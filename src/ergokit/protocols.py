@@ -25,15 +25,15 @@ from .core import (
     SystemSpec,
     _binomial_weight,
     _check_vector_size,
+    _hamming_weights,
     _integer,
     _real,
     _Record,
     apply_unitary,
-    hamming_weights,
     partial_trace_to,
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
-from .families import dicke_index_set, product_thermal_state
+from .families import product_thermal_state
 from .passivity import BETA_MAX_SCALE, ThermalParams, thermal_params
 
 
@@ -65,7 +65,7 @@ def pair_rotation_unitary(spec: SystemSpec, angle: float) -> StructuredUnitary:
     left untouched.  For odd n this yields 2^(n-1) rotations.
     """
     _require_qubits(spec)
-    low = np.flatnonzero(2 * hamming_weights(spec.n) < spec.n)
+    low = np.flatnonzero(2 * _hamming_weights(spec.n) < spec.n)
     return StructuredUnitary.from_pairs(low, (spec.dim - 1) ^ low, _real(angle, "angle"),
                                         spec.dim)
 
@@ -76,7 +76,7 @@ def level_inversion_unitary(spec: SystemSpec, level: int) -> StructuredUnitary:
     level = _integer(level, "level")
     if not 0 <= level < spec.n / 2:
         raise DomainError(f"level {level} outside [0, n/2) for n = {spec.n}")
-    shell = dicke_index_set(spec.n, level)
+    shell = np.flatnonzero(_hamming_weights(spec.n) == level)
     return StructuredUnitary.from_pairs(shell, (spec.dim - 1) ^ shell, math.pi / 2, spec.dim)
 
 
@@ -93,7 +93,8 @@ def local_beta_for_bias(spec: SystemSpec, bias: float) -> float:
 
     |bias| >= 1 returns the signed beta' = infinity sentinel of
     beta_for_entropy; a zero gap returns 0, since every temperature then
-    gives the same (unbiased) state.
+    gives the same (unbiased) state.  A gap so small that beta' or the
+    sentinel overflows raises DomainError; bias 0 gives 0 at any gap.
     """
     _require_qubits(spec)
     bias = _real(bias, "bias")
@@ -102,9 +103,12 @@ def local_beta_for_bias(spec: SystemSpec, bias: float) -> float:
     gap = spec.energy_gap
     if gap == 0.0:
         return 0.0
-    if abs(bias) >= 1.0:
-        return math.copysign(BETA_MAX_SCALE / gap, bias)
-    return 2.0 / gap * math.atanh(bias)
+    scaled = math.copysign(BETA_MAX_SCALE, bias) if abs(bias) >= 1.0 else 2.0 * math.atanh(bias)
+    beta = scaled / gap
+    if math.isinf(beta):
+        raise DomainError(f"energy gap {gap!r} is too small: the local beta of bias {bias!r} "
+                          f"overflows")
+    return beta
 
 
 def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,

@@ -44,7 +44,6 @@ from .families import (
     dicke_thermal_mixture,
     diagonal_state_at_entropy,
     entangled_pure_state,
-    product_thermal_diagonal,
     product_thermal_state,
     separable_optimal_state,
 )
@@ -108,13 +107,12 @@ def check_thermal_products_passive(rng):
     for n in (1, 2, 3):
         for beta in (0.5, 1.0, 2.0):
             spec = SystemSpec.qubits(n, beta)
-            ham = build_hamiltonian(spec)
             state = product_thermal_state(spec)
-            assert is_passive(state, ham), f"thermal product not passive at n={n}"
-            work = ergotropy(state, ham).ergotropy
+            assert is_passive(state, spec), f"thermal product not passive at n={n}"
+            work = ergotropy(state, spec).ergotropy
             assert abs(work) <= 1e-10, f"thermal product stores work {work}"
     spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.3), beta=1.0)
-    assert is_passive(product_thermal_state(spec), build_hamiltonian(spec))
+    assert is_passive(product_thermal_state(spec), spec)
 
 
 def _permutation_table(m: int) -> np.ndarray:
@@ -138,7 +136,7 @@ def check_permutation_oracle(rng):
     ]
     for spec in cases:
         ham = build_hamiltonian(spec)
-        states = [product_thermal_diagonal(spec)]
+        states = [product_thermal_state(spec).diagonal]
         draws = 3 if spec.dim == 8 else 10
         states.extend(rng.dirichlet(np.ones(spec.dim)) for _ in range(draws))
         perms = _permutation_table(spec.dim)
@@ -202,14 +200,12 @@ def check_ergotropy_convexity(rng):
 def check_separable_work_exact(rng):
     for n in range(1, 11):
         spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
         state = product_thermal_state(spec) if n == 1 else separable_optimal_state(spec)
-        gap = abs(ergotropy(state, ham).ergotropy - separable_work_limit(spec))
+        gap = abs(ergotropy(state, spec).ergotropy - separable_work_limit(spec))
         assert gap <= 1e-10, f"qubit separable optimum off by {gap} at n={n}"
     for n in range(2, 8):
         spec = SystemSpec(n=n, d=3, local_energies=(0.0, 1.0, 1.7), beta=0.9)
-        ham = build_hamiltonian(spec)
-        gap = abs(ergotropy(separable_optimal_state(spec), ham).ergotropy
+        gap = abs(ergotropy(separable_optimal_state(spec), spec).ergotropy
                   - separable_work_limit(spec))
         assert gap <= 1e-10, f"qutrit separable optimum off by {gap} at n={n}"
 
@@ -217,7 +213,6 @@ def check_separable_work_exact(rng):
 def check_total_energy_bound(rng):
     for n, family_entropy in ((2, 0.65), (4, 1.2), (6, 1.2)):
         spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
         tau = thermal_state(spec)
         bound = n * thermal_params(spec).mean_energy
         states = [
@@ -231,7 +226,7 @@ def check_total_energy_bound(rng):
             marginals = _marginals(state, spec, range(1, n + 1))
             defect = float(np.abs(marginals - tau.entries).max())
             assert defect <= 1e-10, f"marginal deviates from thermal by {defect}"
-            work = ergotropy(state, ham).ergotropy
+            work = ergotropy(state, spec).ergotropy
             assert work <= bound + 1e-9, f"work {work} beats the bound {bound}"
 
 
@@ -280,14 +275,13 @@ def check_entropy_saturation(rng):
     beta_prime = 2.0
     for n in range(1, 9):
         spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
         result = prepare_locally_thermal(spec, beta_prime, thermal_params(spec).bias)
         total_entropy = n * thermal_entropy(spec, beta_prime)
         assert abs(von_neumann_entropy(result.state) - total_entropy) <= 1e-9
         reference = np.sort(product_thermal_state(spec, beta_prime).diagonal)
         spectrum = np.sort(np.linalg.eigvalsh(result.state.entries))
         assert float(np.abs(spectrum - reference).max()) <= 1e-12
-        work = ergotropy(result.state, ham).ergotropy
+        work = ergotropy(result.state, spec).ergotropy
         bound = entropy_constrained_bound(spec, total_entropy)
         assert abs(work - bound) <= 1e-9, (
             f"saturation off by {work - bound} at n={n}"
@@ -399,9 +393,8 @@ def _rotated_product(rng, n: int, local: np.ndarray) -> np.ndarray:
 def check_bath_identity(rng):
     for n in (2, 3, 4):
         spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
         product = product_thermal_state(spec)
-        reference = free_energy(product, ham, spec.beta)
+        reference = free_energy(product, spec, spec.beta)
         z = thermal_params(spec).partition_function
         assert abs(reference - (-n * math.log(z) / spec.beta)) <= 1e-9
         states = [
@@ -415,7 +408,7 @@ def check_bath_identity(rng):
         for state in states:
             entropy = von_neumann_entropy(state)
             lhs = bath_extractable_work(spec, entropy)
-            rhs = free_energy(state, ham, spec.beta) - reference
+            rhs = free_energy(state, spec, spec.beta) - reference
             assert abs(lhs - rhs) <= 1e-9, f"bath identity off by {lhs - rhs}"
             gain = mutual_information_multipartite(state, spec) / spec.beta
             assert abs(lhs - gain) <= 1e-9
@@ -445,10 +438,9 @@ def check_figure_curves_monotone(rng):
 def check_dicke_work_exact(rng):
     for n in range(1, 13):
         spec = SystemSpec.qubits(n, 1.0)
-        ham = build_hamiltonian(spec)
         states = [dicke_thermal_mixture(spec)] + ([thermal_state(spec)] if n == 1 else [])
         for state in states:
-            gap = abs(ergotropy(state, ham).ergotropy - dicke_mixture_work_formula(spec))
+            gap = abs(ergotropy(state, spec).ergotropy - dicke_mixture_work_formula(spec))
             assert gap <= 1e-10, f"Dicke mixture work off by {gap} at n={n}"
 
 

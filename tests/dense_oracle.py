@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ergokit import Bipartition, DensityMatrix, SystemSpec
+from ergokit import Bipartition, DensityMatrix, SystemSpec, thermal_params
 
 
 def partial_transpose(rho: DensityMatrix, spec: SystemSpec, part: Bipartition) -> np.ndarray:
@@ -17,3 +17,15 @@ def partial_transpose(rho: DensityMatrix, spec: SystemSpec, part: Bipartition) -
     for sub in part.side_a:
         axes[sub - 1], axes[n + sub - 1] = axes[n + sub - 1], axes[sub - 1]
     return tensor.transpose(axes).reshape(spec.dim, spec.dim).copy()
+
+
+def gibbs_weighted_superposition(spec: SystemSpec) -> np.ndarray:
+    """Amplitude vector with weight e^(-beta E_a / 2)/sqrt(Z) on each |a...a>.
+
+    The entangled pure state as a 2^n vector: the reference for the class
+    record that families.entangled_pure_state builds instead.
+    """
+    amp = np.zeros(spec.dim, dtype=complex)
+    rep = (spec.dim - 1) // (spec.d - 1)  # linear index of |a...a> is a * rep
+    amp[np.arange(spec.d) * rep] = np.sqrt(thermal_params(spec).populations)
+    return amp

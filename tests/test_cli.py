@@ -6,6 +6,7 @@ import builtins
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ergokit
 from ergokit import (
     Bipartition,
     CapacityError,
@@ -33,12 +35,10 @@ from ergokit import (
     core,
     count_global_energies,
     diagonal_state_at_entropy,
-    dicke_index_set,
     dicke_mixture_work_formula,
     entropy_constrained_bound,
     ergotropy,
     free_energy,
-    hamming_weights,
     inversion_sequence_to_bias,
     level_inversion_unitary,
     local_beta_for_bias,
@@ -562,6 +562,8 @@ QUTRITS = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
 # and the same spec at a normal beta with the same Gibbs weights
 SUBNORMAL_BETA = SystemSpec.qubits(2, 5e-324)
 TINY_BETA = SystemSpec.qubits(2, 1e-300)
+# qubits whose gap is the smallest positive float: 1 / gap overflows
+SUBNORMAL_GAP = SystemSpec.qubits(2, 1.0, energy=5e-324)
 
 
 def _same_figure1_rows(beta_e: float, n_max: int) -> bool:
@@ -650,14 +652,12 @@ EDGE_INPUTS = {
     # integer parameters, through core._integer
     "inversion-level-fractional": (lambda: level_inversion_unitary(QUBITS, 0.5), DomainError, None),
     "inversion-level-bool": (lambda: level_inversion_unitary(QUBITS, True), DomainError, None),
-    "dicke-shell-fractional": (lambda: dicke_index_set(3, 1.5), DomainError, None),
     "bipartition-fractional-n": (lambda: Bipartition(side_a=frozenset({1}), n=2.5),
                                  DomainError, None),
     "bias-level-fractional": (lambda: bias_after_inversion(QUBITS, 0.3, 0.5), DomainError, None),
     "shell-search-fractional-n": (lambda: smallest_shell_for_entropy(2.5, 0.1), DomainError, None),
     "half-split-float-n": (lambda: Bipartition.half_split(4.0), DomainError, None),
     "energy-count-fractional-n": (lambda: count_global_energies(2.5, 2), DomainError, None),
-    "hamming-weights-fractional-n": (lambda: hamming_weights(2.5), DomainError, None),
     "verify-fractional-seed": (lambda: run_suite("bounds", 1.5), DomainError, None),
     # real parameters, through core._real
     "thermal-beta-a-string": (lambda: thermal_params(QUBITS, "x"), DomainError, None),
@@ -710,6 +710,27 @@ EDGE_INPUTS = {
         lambda: SystemSpec(n=2, d=2, local_energies=np.array(0.0), beta=1.0), DomainError, None),
     "bipartition-side-a-0d-array": (lambda: Bipartition(side_a=np.array(1), n=3),
                                     DomainError, None),
+    # the local beta of a bias on a subnormal gap: 0 at bias 0, else it overflows
+    "local-beta-of-bias-0-on-a-subnormal-gap": (
+        lambda: local_beta_for_bias(SUBNORMAL_GAP, 0.0) == 0.0, None,
+        ["protocol", "--kind", "rotate", "--n", "2", "--beta-prime", "1",
+         "--energy-ladder", "0,5e-324"]),
+    "local-beta-overflows-on-a-subnormal-gap": (
+        lambda: local_beta_for_bias(SUBNORMAL_GAP, 0.3),
+        (DomainError, "energy gap 5e-324 is too small"), None),
+    "local-beta-sentinel-overflows-on-a-subnormal-gap": (
+        lambda: local_beta_for_bias(SUBNORMAL_GAP, 1.0),
+        (DomainError, "energy gap 5e-324 is too small"), None),
+    # the closed-form witness takes a finite beta' >= 0 and a finite angle
+    "witness-beta-very-negative": (lambda: npt_witness_half_split(QUBITS, -1000.0, 0.3),
+                                   DomainError, None),
+    "witness-beta-negative": (lambda: npt_witness_half_split(QUBITS, -1.0, 0.3),
+                              DomainError, None),
+    "witness-beta-nan": (lambda: npt_witness_half_split(QUBITS, math.nan, 0.3),
+                         DomainError, None),
+    "witness-angle-inf": (lambda: npt_witness_half_split(QUBITS, 1.0, math.inf),
+                          DomainError, None),
+    "shell-search-negative-n": (lambda: smallest_shell_for_entropy(-5, 0.1), DomainError, None),
 }
 
 
@@ -776,3 +797,22 @@ def test_src_raises_no_builtin_error_and_main_catches_only_os_errors():
             # SystemExit is argparse's usage exit, not an Exception
             if isinstance(builtin, type) and issubclass(builtin, Exception):
                 assert name == "OSError", f"cli.main catches {name} at line {handler.lineno}"
+
+
+# helpers that returned 2^n basis arrays and left the public API
+REMOVED_NAMES = ("gibbs_weighted_superposition", "product_thermal_diagonal", "dicke_index_set",
+                 "hamming_weights")
+
+
+def public_names() -> list:
+    """Every name ergokit binds, without a leading _, to an object of an ergokit module."""
+    return sorted(name for name, obj in vars(ergokit).items()
+                  if not name.startswith("_")
+                  and str(getattr(obj, "__module__", "")).split(".")[0] == "ergokit")
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in public_names() if not re.search(rf"\b{name}\b", readme)]
+    assert not missing, f"public names missing from README: {missing}"
+    assert not [name for name in REMOVED_NAMES if hasattr(ergokit, name)]

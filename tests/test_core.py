@@ -21,18 +21,16 @@ from ergokit import (
     diagonal_state_at_entropy,
     dicke_thermal_mixture,
     entangled_pure_state,
-    hamming_weights,
     measure_bias,
     partial_trace_to,
     state_eigenvalues,
-    product_thermal_diagonal,
     product_thermal_state,
     separable_optimal_state,
     thermal_state,
     von_neumann_entropy,
 )
 from ergokit import core
-from ergokit.core import _HERMITICITY_TILE, _hermiticity_defect
+from ergokit.core import _HERMITICITY_TILE, _hamming_weights, _hermiticity_defect
 from ergokit.verify import random_density_matrix
 
 # frozen closed forms at beta = 1, E = 1
@@ -74,9 +72,9 @@ def test_state_sized_arrays_are_refused_before_they_are_built(monkeypatch):
     # the limit is in bytes, where arrays are built; a spec alone is small
     assert SystemSpec.qubits(1000, 1.0).dim == 2 ** 1000
     builders = {
-        "hamming_weights": lambda spec: hamming_weights.__wrapped__(spec.n),  # past its cache
+        "_hamming_weights": lambda spec: _hamming_weights.__wrapped__(spec.n),  # past its cache
         "build_hamiltonian": build_hamiltonian,
-        "product_thermal_diagonal": product_thermal_diagonal,
+        "product_thermal_state": product_thermal_state,
         "entangled_pure_state": entangled_pure_state,
         "separable_optimal_state": separable_optimal_state,
         "diagonal_state_at_entropy": lambda spec: diagonal_state_at_entropy(spec, 2.0),
@@ -102,7 +100,7 @@ def test_size_checks_name_their_array_only_when_they_raise(monkeypatch):
     qutrits = SystemSpec(n=3, d=3, local_energies=(0.0, 1.0, 2.0), beta=1.0)
     qubits = SystemSpec.qubits(4, 1.0)
     over = [
-        (lambda: hamming_weights.__wrapped__(25),
+        (lambda: _hamming_weights.__wrapped__(25),
          "a state of dimension 2^25 needs 2^31 bytes, over the limit of 2^30"),
         (lambda: DensityMatrix.from_diagonal(np.full(2 ** 14, 2.0 ** -14)).entries,
          "a dense 2^14 x 2^14 matrix needs 2^32 bytes, over the limit of 2^30"),
@@ -128,8 +126,8 @@ def test_size_checks_name_their_array_only_when_they_raise(monkeypatch):
         unitary = StructuredUnitary([(0, 3, 0.4), (1, 2, 0.9)], 4)
         assert unitary.materialize().shape == (4, 4)
         apply_unitary(product_thermal_state(SystemSpec.qubits(2, 1.0)), unitary)
-        hamming_weights.cache_clear()
-        assert hamming_weights(10).size == 1024
+        _hamming_weights.cache_clear()
+        assert _hamming_weights(10).size == 1024
     for call, text in over:  # the message, built on raising, is as it was
         with pytest.raises(CapacityError) as raised:
             call()
@@ -137,14 +135,14 @@ def test_size_checks_name_their_array_only_when_they_raise(monkeypatch):
 
 
 def test_hamming_weights_and_negation():
-    w = hamming_weights(4)
+    w = _hamming_weights(4)
     assert [w[0], w[1], w[15]] == [0, 1, 4]
     assert w.sum() == 4 * 2 ** 3
     for i in range(16):
         assert w[i] + w[(2 ** 4 - 1) ^ i] == 4
     # one cached size at a time, so a run over several n holds one vector
-    assert hamming_weights(5).size == 32
-    assert hamming_weights.cache_info().currsize == 1
+    assert _hamming_weights(5).size == 32
+    assert _hamming_weights.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def test_hamiltonian_entry_is_weight():
     spec = SystemSpec.qubits(3, 1.0)
     ham = build_hamiltonian(spec)
     assert ham[0b101] == 2.0
-    np.testing.assert_array_equal(ham, hamming_weights(3).astype(float))
+    np.testing.assert_array_equal(ham, _hamming_weights(3).astype(float))
 
 
 def test_hamiltonian_generic_ladder():

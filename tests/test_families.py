@@ -24,11 +24,9 @@ from ergokit import (
     apply_unitary,
     build_hamiltonian,
     diagonal_state_at_entropy,
-    dicke_index_set,
     dicke_thermal_mixture,
     entangled_pure_state,
     ergotropy,
-    gibbs_weighted_superposition,
     is_passive,
     level_inversion_unitary,
     min_pt_eigenvalue,
@@ -47,6 +45,8 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit import cli, core, families
+from ergokit.core import _hamming_weights
+from dense_oracle import gibbs_weighted_superposition
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
 
@@ -99,6 +99,8 @@ def test_gibbs_vector_is_normalized():
     spec = SystemSpec(n=3, d=3, local_energies=(0.0, 0.5, 1.5), beta=1.1)
     vec = gibbs_weighted_superposition(spec)
     assert abs(float((np.abs(vec) ** 2).sum()) - 1.0) <= 1e-12
+    np.testing.assert_allclose(entangled_pure_state(spec).entries,
+                               np.outer(vec, vec.conj()), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +167,10 @@ def test_product_thermal_energy_and_entropy_additive():
 # ---------------------------------------------------------------------------
 
 def test_dicke_index_set_contents():
-    shell = dicke_index_set(4, 2)
-    assert list(shell) == [3, 5, 6, 9, 10, 12]
-    assert len(shell) == math.comb(4, 2)
-    assert not shell.flags.writeable
-    with pytest.raises(DomainError):
-        dicke_index_set(4, 5)
+    # the Dicke mixture's shell blocks sit on the indices of k excitations
+    groups = dicke_thermal_mixture(SystemSpec.qubits(4, 1.0)).groups
+    shells = sorted(tuple(row) for index, _ in groups for row in index.tolist())
+    assert shells == [(0,), (1, 2, 4, 8), (3, 5, 6, 9, 10, 12), (7, 11, 13, 14), (15,)]
 
 
 def test_dicke_mixture_single_qubit_is_thermal():
@@ -208,7 +208,7 @@ def test_dicke_blocks_equal_the_dense_gram_matrix_bit_for_bit():
         p = thermal_params(spec).populations[1]
         rows = np.zeros((n + 1, spec.dim))
         for k in range(n + 1):
-            rows[k, dicke_index_set(n, k)] = math.sqrt(p ** k * (1.0 - p) ** (n - k))
+            rows[k, _hamming_weights(n) == k] = math.sqrt(p ** k * (1.0 - p) ** (n - k))
         np.testing.assert_array_equal(dicke_thermal_mixture(spec).entries, rows.T @ rows)
 
 
@@ -309,6 +309,42 @@ def test_shell_selection_examples():
         smallest_shell_for_entropy(4, 2.0)
     with pytest.raises(DomainError):
         smallest_shell_for_entropy(8, -0.1)
+
+
+def scanned_shell(n: int, entropy: float):
+    """The smallest shell by a linear scan over D = 0..n//2, or None past ln C(n, n//2)."""
+    return next((shell for shell in range(n // 2 + 1)
+                 if math.log(math.comb(n, shell)) >= entropy), None)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(0, 300), data=st.data())
+def test_shell_bisection_equals_the_linear_scan(n, data):
+    top = math.log(math.comb(n, n // 2))
+    # targets exactly at ln C(n, k), and between them
+    entropy = data.draw(st.integers(0, n // 2).map(lambda k: math.log(math.comb(n, k)))
+                        | st.floats(0.0, top * 1.05 + 0.1))
+    expected = scanned_shell(n, entropy)
+    if expected is None:
+        with pytest.raises(InfeasibilityError):
+            smallest_shell_for_entropy(n, entropy)
+    else:
+        assert smallest_shell_for_entropy(n, entropy) == expected
+
+
+def test_shell_search_at_n_20000_takes_a_few_binomials(monkeypatch):
+    calls, comb = [], math.comb
+
+    def counted(n, k):
+        calls.append(k)
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    shell = smallest_shell_for_entropy(20000, 13000.0)
+    monkeypatch.undo()
+    assert shell == 7093
+    assert len(calls) <= 2 + math.ceil(math.log2(20000 // 2 + 2)), len(calls)
+    assert math.log(math.comb(20000, shell - 1)) < 13000.0 <= math.log(math.comb(20000, shell))
 
 
 def test_diagonal_family_at_minimum_entropy_recovers_mixture():

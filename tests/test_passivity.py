@@ -19,10 +19,8 @@ from ergokit import (
     entangled_pure_state,
     entropy_constrained_bound,
     ergotropy,
-    gibbs_weighted_superposition,
     is_passive,
     passive_state,
-    product_thermal_diagonal,
     product_thermal_state,
     separable_optimal_state,
     separable_work_limit,
@@ -36,6 +34,7 @@ from ergokit.passivity import BETA_MAX_SCALE
 from ergokit.reporting import format_value
 from ergokit.verify import _permutation_table, random_density_matrix
 from decimal_oracle import figure1_ratios, thermal
+from dense_oracle import gibbs_weighted_superposition
 from strategies import specs
 
 P1 = math.exp(-1.0) / (1.0 + math.exp(-1.0))
@@ -292,7 +291,7 @@ def test_is_passive_is_zero_work_against_the_permutation_minimum(spec, data):
     energies = build_hamiltonian(spec)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     if data.draw(st.booleans()):
-        pops = product_thermal_diagonal(spec)[rng.permutation(spec.dim)]
+        pops = product_thermal_state(spec).diagonal[rng.permutation(spec.dim)]
     else:
         pops = rng.dirichlet(np.ones(spec.dim))
     rho = DensityMatrix.from_diagonal(pops)

@@ -3,7 +3,9 @@
 The separable, entangled and fixed-entropy states are records of class
 populations and blocks; each quantity read from the record equals the
 same quantity of its expanded parts, and the expanded parts equal the
-full-basis vectors the constructors used to build.
+full-basis vectors the constructors used to build.  A spec passed as the
+Hamiltonian is read as its level table, and gives what its basis energy
+vector gives.
 """
 
 import math
@@ -15,23 +17,30 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ergokit import (
     Bipartition,
     DensityMatrix,
+    DomainError,
     InfeasibilityError,
+    ShapeError,
     SystemSpec,
+    UnsupportedError,
     build_hamiltonian,
     cli,
     core,
     diagonal_state_at_entropy,
-    dicke_index_set,
     ergotropy,
-    gibbs_weighted_superposition,
+    free_energy,
+    inversion_sequence_to_bias,
+    is_passive,
     min_pt_eigenvalue,
     passive_state,
+    product_thermal_state,
     state_eigenvalues,
     thermal_params,
     von_neumann_entropy,
 )
-from ergokit.core import _Levels, _marginals, _Parts
-from strategies import BETAS
+from ergokit.core import _hamming_weights, _Levels, _marginals, _Parts
+from ergokit.verify import random_density_matrix
+from dense_oracle import gibbs_weighted_superposition
+from strategies import BETAS, specs
 
 # largest full basis drawn for qudits, so a qudit draw stays a small state
 QUDIT_DIM_MAX = 4096
@@ -56,7 +65,7 @@ def former_state(spec: SystemSpec, family: str, target=None) -> DensityMatrix:
         diag[0] += params.ground_weight
         diag[-1] += params.top_weight
         shell = params.shell_excitations
-        diag[dicke_index_set(spec.n, shell)] += params.shell_weight / math.comb(spec.n, shell)
+        diag[_hamming_weights(spec.n) == shell] += params.shell_weight / math.comb(spec.n, shell)
     return DensityMatrix.from_diagonal(diag)
 
 
@@ -71,12 +80,12 @@ def assert_record_matches_its_parts(rho: DensityMatrix, spec: SystemSpec, former
                                rtol=0.0, atol=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(von_neumann_entropy(parts), abs=1e-12)
     scale = max(1.0, spec.n * spec.local_energies[-1])
-    by_class = ergotropy(rho, _Levels.of_spec(spec))
+    by_class = ergotropy(rho, spec)
     by_index = ergotropy(parts, build_hamiltonian(spec))
     for field in ("initial_energy", "passive_energy", "ergotropy"):
         assert getattr(by_class, field) == pytest.approx(getattr(by_index, field),
                                                          abs=1e-12 * scale), field
-    passive = passive_state(rho, _Levels.of_spec(spec)).diagonal @ build_hamiltonian(spec)
+    passive = passive_state(rho, spec).diagonal @ build_hamiltonian(spec)
     assert passive == pytest.approx(by_index.passive_energy, abs=1e-12 * scale)
     sites = range(1, spec.n + 1)
     np.testing.assert_allclose(_marginals(rho, spec, sites), _marginals(parts, spec, sites),
@@ -136,25 +145,111 @@ def test_a_spec_level_table_holds_the_sorted_basis_energies(spec):
     np.testing.assert_allclose(levels.per_index(), energies, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("family, n, d", [
-    ("entangled", 10, 2), ("separable", 10, 2), ("fixed-entropy", 10, 2),
-    ("entangled", 6, 3), ("separable", 6, 3),
-])
-def test_a_sweep_row_builds_and_sorts_no_basis_energy_vector(monkeypatch, family, n, d):
-    dim = d ** n
-
+def refuse_basis_energies(monkeypatch, dim: int):
+    """Fail on any build_hamiltonian call, and on any sort of dim entries or more."""
     def refused(spec):
-        raise AssertionError("a sweep row built the basis Hamiltonian")
+        raise AssertionError("built the basis Hamiltonian")
 
     def sized(sort):
         def spy(a, *args, **kwargs):
-            assert np.size(a) < dim, f"a sweep row sorted {np.size(a)} entries"
+            assert np.size(a) < dim, f"sorted {np.size(a)} entries"
             return sort(a, *args, **kwargs)
         return spy
 
     monkeypatch.setattr(core, "build_hamiltonian", refused)
     monkeypatch.setattr(np, "sort", sized(np.sort))
     monkeypatch.setattr(np, "argsort", sized(np.argsort))
+
+
+@pytest.mark.parametrize("family, n, d", [
+    ("entangled", 10, 2), ("separable", 10, 2), ("fixed-entropy", 10, 2),
+    ("entangled", 6, 3), ("separable", 6, 3),
+])
+def test_a_sweep_row_builds_and_sorts_no_basis_energy_vector(monkeypatch, family, n, d):
+    refuse_basis_energies(monkeypatch, d ** n)
     row, = cli.sweep_rows(cli.SweepConfig(family=family, n_values=(n,), d=d,
                                           total_entropy=3.0 if family == "fixed-entropy" else None))
     assert row["status"] == "ok" and row["ergotropy"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# a spec as the Hamiltonian
+# ---------------------------------------------------------------------------
+
+def states_of(spec: SystemSpec, seed: int) -> list:
+    """Every family state the spec admits, the product and chain states, and a dense one."""
+    states = [product_thermal_state(spec)]
+    local = thermal_params(spec).entropy
+    for family in cli.STATE_FAMILIES:
+        try:
+            states.append(cli.build_family_state(spec, family, (spec.n + 1) / 2 * local))
+        except (DomainError, UnsupportedError, InfeasibilityError):
+            pass  # n = 1, qudits, or a target the family does not reach (ROADMAP item 5)
+    if spec.d == 2:
+        states.append(inversion_sequence_to_bias(spec, 1.0, 0.0).state)
+    states.append(random_density_matrix(np.random.default_rng(seed), spec.dim))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(max_dim=256), seed=st.integers(0, 2 ** 32 - 1))
+@example(spec=SystemSpec.qubits(8, 30.0), seed=0)
+@example(spec=SystemSpec(n=3, d=3, local_energies=(0.0, 1.0, 2.5), beta=0.0), seed=1)
+@example(spec=SystemSpec(n=4, d=4, local_energies=(0.0, 0.0, 1.0, 1.0), beta=30.0), seed=2)
+def test_a_spec_gives_what_its_energy_vector_gives(spec, seed):
+    ham = build_hamiltonian(spec)
+    tol = 1e-13 * max(1.0, spec.n * spec.local_energies[-1])
+    for rho in states_of(spec, seed):
+        by_spec, by_vector = ergotropy(rho, spec), ergotropy(rho, ham)
+        for field in ("initial_energy", "passive_energy", "ergotropy"):
+            assert abs(getattr(by_spec, field) - getattr(by_vector, field)) <= tol, field
+        passive = passive_state(rho, spec)
+        np.testing.assert_array_equal(passive.diagonal, passive_state(rho, ham).diagonal)
+        assert is_passive(rho, spec) == is_passive(rho, ham)
+        assert is_passive(passive, spec) and is_passive(passive, ham)
+        assert abs(free_energy(rho, spec, 1.0) - free_energy(rho, ham, 1.0)) <= tol
+
+
+@pytest.mark.parametrize("family, n, d", [
+    ("entangled", 10, 2), ("separable", 10, 2), ("fixed-entropy", 10, 2), ("protocol", 10, 2),
+    ("entangled", 6, 3), ("separable", 6, 3),
+])
+def test_ergotropy_against_a_spec_builds_and_sorts_no_basis_energy_vector(monkeypatch,
+                                                                          family, n, d):
+    spec = SystemSpec(n=n, d=d, local_energies=tuple(range(d)), beta=1.0)
+    if family == "protocol":
+        rho = inversion_sequence_to_bias(spec, 1.0, -0.3).state
+    else:
+        rho = cli.build_family_state(spec, family, 3.0)
+    assert rho._record is not None
+    refuse_basis_energies(monkeypatch, spec.dim)
+    report = ergotropy(rho, spec)
+    assert report.ergotropy > 0.0 and report.bound_total_energy is not None
+
+
+def test_a_spec_of_another_dimension_is_refused():
+    rho = product_thermal_state(SystemSpec.qubits(3, 0.7))
+    for other in (SystemSpec.qubits(4, 0.7), SystemSpec.qubits(20000, 0.7),
+                  SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 2.0), beta=0.7)):
+        for call in (ergotropy, passive_state, is_passive, lambda r, h: free_energy(r, h, 1.0)):
+            with pytest.raises(ShapeError):
+                call(rho, other)
+
+
+def test_a_spec_as_the_hamiltonian_fills_the_bounds_as_spec_does():
+    spec = SystemSpec(n=3, d=3, local_energies=(0.0, 0.4, 1.5), beta=0.9)
+    rho = cli.build_family_state(spec, "entangled")
+    ham = build_hamiltonian(spec)
+    for entropy in (None, 1.2):
+        by_spec = ergotropy(rho, spec, total_entropy=entropy)
+        by_vector = ergotropy(rho, ham, spec, total_entropy=entropy)
+        assert by_spec.bound_total_energy == by_vector.bound_total_energy
+        assert by_spec.bound_entropy == by_vector.bound_entropy
+        assert (by_spec.bound_entropy is None) == (entropy is None)
+        assert by_spec.ratio_to_bound == pytest.approx(by_vector.ratio_to_bound, abs=1e-13)
+    # an explicit spec= keeps its meaning: the bounds are its own
+    hotter = SystemSpec(n=3, d=3, local_energies=(0.0, 0.4, 1.5), beta=0.2)
+    assert ergotropy(rho, spec, hotter).bound_total_energy \
+        == ergotropy(rho, ham, hotter).bound_total_energy \
+        != ergotropy(rho, spec).bound_total_energy
+    assert ergotropy(rho, ham).bound_total_energy is None
