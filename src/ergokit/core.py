@@ -6,14 +6,15 @@ subsystems with a non-interacting total Hamiltonian.
 
 A state is stored as populations plus coherence blocks: the diagonal of
 every basis index outside a block, and dense Hermitian blocks on
-disjoint index sets.  The product and pair-rotated states hold O(dim)
+disjoint index sets.  The product and shell-inverted states hold O(dim)
 numbers this way and the Dicke mixture one block per excitation shell, a
 single number broadcast over the block; the separable, entangled and
-fixed-entropy states are records of a few class populations or one block
-(_Record), read against energy levels by class (_Levels).  A caller's
-dense array is its populations, or one block if anything lies off its
-diagonal.  The spectrum is solved block by block and cached on the
-state, so each state is solved once.
+fixed-entropy states, the inversion chain and the pair-rotated product
+are records of a few class populations, blocks or 2 x 2 pair blocks
+(_Record), read against energy levels by class (_Levels), with marginals
+summed by class.  A caller's dense array is its populations, or one
+block if anything lies off its diagonal.  The spectrum is solved block
+by block and cached on the state, so each state is solved once.
 
 Conventions
 -----------
@@ -78,9 +79,11 @@ class SystemSpec:
     d: int
     local_energies: tuple[float, ...]
     beta: float
-    # the Gibbs weights at beta, set by passivity.thermal_params on first use;
-    # not a field, so equality, hash, repr and dataclasses.replace ignore it
+    # the Gibbs weights at beta, set by passivity.thermal_params on first use,
+    # and the level classes, set by _Levels.of_spec on first use; not fields,
+    # so equality, hash, repr and dataclasses.replace ignore them
     _reference = None
+    _levels = None
 
     def __post_init__(self):
         if type(self.n) is not int or type(self.d) is not int or type(self.beta) is not float:
@@ -254,6 +257,13 @@ def _hermiticity_defect(arr: np.ndarray) -> float:
     return float(worst)
 
 
+def _check_hermitian(values: np.ndarray):
+    """Raise ValidityError unless a matrix or stack of them is finite and Hermitian."""
+    defect = _hermiticity_defect(values)
+    if not defect <= HERMITICITY_TOL:
+        raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
+
+
 class _Parts:
     """Populations and block groups built inside the package.
 
@@ -275,34 +285,67 @@ class _Record:
     single states |a...a>.  The short Python list counts holds distinct
     classes c, and class i population pops[i], spread evenly over its
     sizes[i] members; blocks lists (counts, values) pairs, each a Hermitian
-    k x k block on the states |a...a> of k classes not in counts.
+    k x k block on the states |a...a> of k classes not in counts.  pairs,
+    for qubits, is None or the (m, 2, 2) stack of the pair class, one
+    Hermitian block for each shell k < n/2: pairs[k] sits on every pair
+    (x, ~x) with |x| = k, in that order, and has copies[k] = C(n, k)
+    copies; the shells k and n - k are then not in counts.
     """
 
-    __slots__ = ("spec", "counts", "pops", "sizes", "blocks")
+    __slots__ = ("spec", "counts", "pops", "sizes", "blocks", "pairs", "copies")
 
-    def __init__(self, spec: SystemSpec, counts, pops, blocks=()):
+    def __init__(self, spec: SystemSpec, counts, pops, blocks=(), pairs=None):
         self.spec, self.counts, self.pops, self.blocks = spec, counts, pops, blocks
         self.sizes = [math.factorial(spec.n) // math.prod(map(math.factorial, c)) for c in counts]
+        self.pairs = pairs
+        self.copies = [] if pairs is None else [math.comb(spec.n, k) for k in range(len(pairs))]
+
+    def classes(self) -> list:
+        """(weight, counts) of every class: its population, each block entry on the
+        diagonal at its state, and each pair block's diagonal times its copies at
+        shells k and n - k."""
+        weights = list(zip(self.pops, self.counts))
+        for counts, values in self.blocks:
+            weights += zip(values.diagonal().real.tolist(), counts)
+        if self.pairs is not None:
+            n, diagonals = self.spec.n, self.pairs.diagonal(axis1=1, axis2=2).real.tolist()
+            for k, ((low, high), copies) in enumerate(zip(diagonals, self.copies)):
+                weights += [(copies * low, (n - k, k)), (copies * high, (k, n - k))]
+        return weights
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, descending: class and block values by multiplicity, then zeros."""
-        pairs = [(pop / size, size) for pop, size in zip(self.pops, self.sizes)]
+        """Eigenvalues, descending: class, block and pair values by multiplicity, then zeros."""
+        found = [(pop / size, size) for pop, size in zip(self.pops, self.sizes)]
         for _, block in self.blocks:
-            pairs += [(value, 1) for value in _stack_eigenvalues(block[None])[0].tolist()]
-        pairs.append((0.0, self.spec.dim - sum(size for _, size in pairs)))
-        pairs.sort(reverse=True)
-        return np.repeat(np.array([v for v, _ in pairs]), np.array([m for _, m in pairs]))
+            found += [(value, 1) for value in _stack_eigenvalues(block[None])[0].tolist()]
+        if self.pairs is not None:
+            for values, copies in zip(_stack_eigenvalues(self.pairs).tolist(), self.copies):
+                found += [(value, copies) for value in values]
+        found.append((0.0, self.spec.dim - sum(size for _, size in found)))
+        found.sort(reverse=True)
+        return np.repeat(np.array([v for v, _ in found]), np.array([m for _, m in found]))
 
     def parts(self) -> _Parts:
-        """The full-basis parts: each class's population per member on its members."""
+        """The full-basis parts: each class's population per member on its members,
+        and every block on its states, a pair block on each pair in ascending order."""
         n, dim = self.spec.n, self.spec.dim
         single = (dim - 1) // (self.spec.d - 1)  # |a...a> is at linear index a * single
         pops = np.zeros(dim)
         for counts, pop, size in zip(self.counts, self.pops, self.sizes):
             at = counts.index(n) * single if size == 1 else _hamming_weights(n) == counts[1]
             pops[at] = pop / size
-        return _Parts(pops, [(np.array([[c.index(n) for c in counts]]) * single, values[None])
-                             for counts, values in self.blocks])
+        groups = [(np.array([[c.index(n) for c in counts]]) * single, values[None])
+                  for counts, values in self.blocks]
+        if self.pairs is not None:
+            weight = _hamming_weights(n)[:dim // 2]  # x < ~x: x's first digit is 0
+            low = np.flatnonzero(2 * weight != n)
+            weight = weight[low]
+            shell = np.minimum(weight, n - weight)
+            # where x is in shell n - k, the block's order (~x, x) is mirrored
+            values = np.where((weight > shell)[:, None, None], self.pairs[shell, ::-1, ::-1],
+                              self.pairs[shell])
+            groups.append((np.stack([low, dim - 1 - low], axis=1), values))
+        return _Parts(pops, groups)
 
 
 def _single_block(arr: np.ndarray) -> _Parts:
@@ -345,9 +388,12 @@ class DensityMatrix:
     parts on each access (read-only); it raises CapacityError over
     DENSE_BYTES_MAX.
 
-    The families' permutation-invariant states are stored by class (a
-    _Record) instead, and expanded into populations and groups on first
-    access; their spectrum and energy are read from the classes.
+    The permutation-invariant states that the families and protocols build
+    are stored by class (a _Record) instead, and expanded into populations
+    and groups on first access; their spectrum, energy and marginals are
+    read from the classes.  A record's pair class is checked for
+    Hermiticity like any block, and each pair block's trace counts C(n, k)
+    times in the trace.
 
     Finite entries, Hermiticity, trace and populations (every one, or every
     class's, at least -1e-10) are verified at construction; positivity of
@@ -372,13 +418,15 @@ class DensityMatrix:
             trace, lowest = sum(record.pops), min(record.pops, default=0.0)
             blocks, self.dim = record.blocks, record.spec.dim
         for index, values in blocks:
-            defect = _hermiticity_defect(values)
-            if not defect <= HERMITICITY_TOL:
-                raise ValidityError(f"matrix is not finite and Hermitian (defect {defect:.3e})")
+            _check_hermitian(values)
             trace += float(values.diagonal(axis1=-2, axis2=-1).real.sum())
             values.setflags(write=False)
             if record is None:
                 index.setflags(write=False)
+        if record is not None and record.pairs is not None:
+            _check_hermitian(record.pairs)
+            trace += float(record.pairs.trace(axis1=1, axis2=2).real @ record.copies)
+            record.pairs.setflags(write=False)
         if not abs(trace - 1.0) <= TRACE_TOL:  # a non-finite population fails here
             raise ValidityError(f"trace must be 1, got {trace!r}")
         if lowest < -PSD_TOL:
@@ -524,6 +572,27 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     return diag
 
 
+def _level_classes(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and sizes of a spec's level classes, energies ascending (_Levels.of_spec)."""
+    n = spec.n
+    if spec.d == 2:
+        sizes = np.array([math.comb(n, k) for k in range(n + 1)])
+        return np.arange(n + 1) * spec.energy_gap, sizes
+    fact = np.cumprod(np.maximum(np.arange(n + 1.0), 1.0))  # k!, exact while under 2^53
+    # level by level, each composition takes c = 0..left more subsystems
+    energy, weight, left, done = np.zeros(1), np.ones(1), np.array([n]), []
+    for level in spec.local_energies[1:]:
+        rows = np.repeat(np.arange(left.size), left + 1)
+        c = np.arange(rows.size) - np.searchsorted(rows, rows)
+        energy, weight, left = energy[rows] + c * level, weight[rows] * fact[c], left[rows] - c
+        done.append((energy[left == 0], weight[left == 0]))
+        energy, weight, left = energy[left > 0], weight[left > 0], left[left > 0]
+    energy = np.concatenate([energy] + [e for e, _ in done])
+    weight = np.concatenate([weight * fact[left]] + [w for _, w in done])
+    order = np.argsort(energy, kind="stable")
+    return energy[order], np.rint(fact[n] / weight[order]).astype(np.int64)
+
+
 class _Levels:
     """A diagonal Hamiltonian as a level table: classes of equal energy.
 
@@ -541,24 +610,19 @@ class _Levels:
 
     @classmethod
     def of_spec(cls, spec: SystemSpec) -> "_Levels":
-        """The classes of a spec: qubit shell k at index k; for qudits, level by level."""
-        n = spec.n
-        if spec.d == 2:
-            return cls(np.arange(n + 1) * spec.energy_gap,
-                       np.array([math.comb(n, k) for k in range(n + 1)]), spec)
-        fact = np.cumprod(np.maximum(np.arange(n + 1.0), 1.0))  # k!, exact while under 2^53
-        # level by level, each composition takes c = 0..left more subsystems
-        energy, weight, left, done = np.zeros(1), np.ones(1), np.array([n]), []
-        for level in spec.local_energies[1:]:
-            rows = np.repeat(np.arange(left.size), left + 1)
-            c = np.arange(rows.size) - np.searchsorted(rows, rows)
-            energy, weight, left = energy[rows] + c * level, weight[rows] * fact[c], left[rows] - c
-            done.append((energy[left == 0], weight[left == 0]))
-            energy, weight, left = energy[left > 0], weight[left > 0], left[left > 0]
-        energy = np.concatenate([energy] + [e for e, _ in done])
-        weight = np.concatenate([weight * fact[left]] + [w for _, w in done])
-        order = np.argsort(energy, kind="stable")
-        return cls(energy[order], np.rint(fact[n] / weight[order]).astype(np.int64), spec)
+        """The classes of a spec: qubit shell k at index k; for qudits, level by level.
+
+        Their energies and sizes are computed on the first call and kept on
+        the spec, read-only (SystemSpec._levels).  The table refers to the
+        spec, so it is made on each call: kept on the spec, it would make a
+        reference cycle that only the cyclic garbage collector frees.
+        """
+        if spec._levels is None:
+            classes = _level_classes(spec)
+            for array in classes:
+                array.setflags(write=False)
+            object.__setattr__(spec, "_levels", classes)
+        return cls(*spec._levels, spec)
 
     def ascending(self) -> np.ndarray:
         """The energy of every basis state, ascending."""
@@ -584,18 +648,29 @@ def partial_trace_to(rho: DensityMatrix, spec: SystemSpec, keep: int) -> Density
 def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
     """Reduced states of the given subsystems (1-based), as a (len(sites), d, d) stack.
 
-    Each diagonal sums the full diagonal pairwise.  An off-diagonal entry
-    sums, in row-major order, the block entries whose two indices differ
-    only in the kept digit; each block group is walked once for as many
-    sites as fit in _SLAB entries.  A group over _SLAB entries goes one site
-    at a time, and its blocks with no such pair (every Dicke shell block)
-    are dropped before the entry masks are built.
+    A state stored by class, at n >= 2, gives every site the same diagonal
+    marginal: level a gets the class sum of weight c_a / n (math.fsum)
+    over _Record.classes, and no block of a record reaches it, since each
+    links states that differ at every site.  At n = 1 the one pair is the
+    site itself, so the marginal is read from the expanded parts, as for
+    any other state: each diagonal sums the full diagonal pairwise.  An
+    off-diagonal entry sums, in row-major order, the block entries whose
+    two indices differ only in the kept digit; each block group is walked
+    once for as many sites as fit in _SLAB entries.  A group over _SLAB
+    entries goes one site at a time, and its blocks with no such pair
+    (every Dicke shell block) are dropped before the entry masks are built.
     """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
-    d = spec.d
-    rights = d ** (spec.n - np.asarray(sites))
+    n, d = spec.n, spec.d
+    rights = d ** (n - np.asarray(sites))
     out = np.zeros((rights.size, d, d), dtype=complex)
+    record = rho._record
+    if record is not None and record.spec.n == n >= 2:
+        classes = record.classes()
+        levels = [math.fsum(w * c[a] / n for w, c in classes) for a in range(d)]
+        out[:, range(d), range(d)] = levels
+        return out
     diag = rho.diagonal
     for marginal, right in zip(out, rights.tolist()):
         by_digit = diag.reshape(-1, d, right).transpose(1, 0, 2).reshape(d, -1)

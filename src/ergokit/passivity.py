@@ -319,8 +319,5 @@ def _energy(rho: DensityMatrix, levels: _Levels) -> float:
     record = rho._record
     if record is None or levels.spec is None or levels.spec.d != record.spec.d:
         return float(rho.diagonal @ levels.per_index())
-    weights = list(zip(record.pops, record.counts))
-    for counts, values in record.blocks:
-        weights += zip(values.diagonal().real.tolist(), counts)
     return float(sum(w * sum(c * e for c, e in zip(counts, levels.spec.local_energies))
-                     for w, counts in weights))
+                     for w, counts in record.classes()))

@@ -9,6 +9,10 @@ unitaries acting on a product thermal state:
 * full population inversions of a single excitation shell, which shift
   the bias in discrete steps and, chained greedily, approximate any
   weaker or reversed bias with an error vanishing as the ensemble grows.
+
+prepare_locally_thermal and inversion_sequence_to_bias return their
+states as class records (core._Record), built from the Gibbs weights at
+beta' with no 2^n vector.
 """
 
 from __future__ import annotations
@@ -29,11 +33,9 @@ from .core import (
     _integer,
     _real,
     _Record,
-    apply_unitary,
     partial_trace_to,
 )
 from .errors import DomainError, UnreachableBiasError, UnsupportedError
-from .families import product_thermal_state
 from .passivity import BETA_MAX_SCALE, ThermalParams, thermal_params
 
 
@@ -117,18 +119,21 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
 
     The rotation angle solves target = cos(2 angle) * bias', so any bias
     with |target| <= bias' = tanh(beta' E / 2) is reachable; the global
-    spectrum (hence entropy) is untouched.
+    spectrum (hence entropy) is untouched.  The state is the record that
+    pair_rotation_unitary makes of the product (_rotated_product), built
+    in O(n) with no 2^n vector, and its bias is read from its classes.
     """
     _require_qubits(spec)
     target_bias = _real(target_bias, "target bias")
-    bias_prime = _reachable_params(spec, beta_prime, target_bias).bias
+    params = _reachable_params(spec, beta_prime, target_bias)
+    bias_prime = params.bias
     if bias_prime == 0.0:
         angle = 0.0
     else:
         ratio = min(max(target_bias / bias_prime, -1.0), 1.0)
         angle = 0.5 * math.acos(ratio)
-    state = apply_unitary(product_thermal_state(spec, beta_prime),
-                          pair_rotation_unitary(spec, angle))
+    _check_vector_size(spec.dim)  # the state is sized as one on the full basis
+    state = DensityMatrix(_rotated_product(spec, params.populations, angle))
     achieved = measure_bias(state, spec)
     return ProtocolResult(
         state=state,
@@ -137,6 +142,27 @@ def prepare_locally_thermal(spec: SystemSpec, beta_prime: float,
         beta_local=local_beta_for_bias(spec, achieved),
         angle=angle,
     )
+
+
+def _rotated_product(spec: SystemSpec, populations, angle: float) -> _Record:
+    """The qubit product of weights (q, p), rotated by angle in each pair (x, ~x), |x| < n/2.
+
+    Pair block k starts as diag(w_k, w_(n-k)), the product weights
+    w_j = p^j q^(n-j) of x and ~x for |x| = k, and is rotated with the
+    row-then-column expressions of core._rotate_parts.  For even n the
+    shell n/2, which no rotation touches, is a population class.
+    """
+    n, (q, p) = spec.n, populations
+    c, s = math.cos(angle), math.sin(angle)
+    k = np.arange((n + 1) // 2)
+    low, high = p ** k * q ** (n - k), p ** (n - k) * q ** k
+    pairs = np.empty((k.size, 2, 2))
+    pairs[:, 0, 0] = c * (c * low) + s * (s * high)
+    pairs[:, 0, 1] = -s * (c * low) + c * (s * high)
+    pairs[:, 1, 0] = c * (-s * low) + s * (c * high)
+    pairs[:, 1, 1] = -s * (-s * low) + c * (c * high)
+    half = [(n // 2, n // 2)] if n % 2 == 0 else []
+    return _Record(spec, half, [_binomial_weight(n, n // 2, p, q) for _ in half], pairs=pairs)
 
 
 def bias_after_inversion(spec: SystemSpec, excited_probability: float,
@@ -193,7 +219,7 @@ def inversion_sequence_to_bias(spec: SystemSpec, beta_prime: float,
     target_bias = _real(target_bias, "target bias")
     params = _reachable_params(spec, beta_prime, target_bias)
     n = spec.n
-    _check_vector_size(spec.dim)  # measure_bias expands the result
+    _check_vector_size(spec.dim)  # the state is sized as one on the full basis
     ground, excited = params.populations
     weights = [_binomial_weight(n, k, excited, ground) for k in range(n + 1)]
     # the weights' own bias, so a swap that mirrors it about 0 gives exactly -bias

@@ -5,6 +5,14 @@ import numpy as np
 from ergokit import Bipartition, DensityMatrix, SystemSpec, thermal_params
 
 
+def dense_partial_trace(arr: np.ndarray, spec: SystemSpec, keep: int) -> np.ndarray:
+    """One site's reduced state of a dense matrix, by reshape and trace."""
+    d = spec.d
+    tensor = arr.reshape(d ** (keep - 1), d, d ** (spec.n - keep),
+                         d ** (keep - 1), d, d ** (spec.n - keep))
+    return np.trace(np.trace(tensor, axis1=0, axis2=3), axis1=1, axis2=3)
+
+
 def partial_transpose(rho: DensityMatrix, spec: SystemSpec, part: Bipartition) -> np.ndarray:
     """Transpose the side_a subsystems of the dense matrix; returns a dense Hermitian matrix.
 

@@ -673,6 +673,12 @@ EDGE_INPUTS = {
     "excitation-a-string": (lambda: bias_after_inversion(QUBITS, "x", 0), DomainError, None),
     "rotate-target-a-string": (lambda: prepare_locally_thermal(QUBITS, 1.0, "x"),
                                DomainError, None),
+    # the rotated record is sized against the byte budget as a full-basis state,
+    # as the inversion chain's is (test_protocol_invert_over_the_byte_budget_exits_2)
+    "rotate-over-the-byte-budget": (
+        lambda: prepare_locally_thermal(SystemSpec.qubits(30, 1.0), 1.0, 0.0),
+        (CapacityError, "a state of dimension 2^30 needs 2^36 bytes, over the limit of 2^30"),
+        ["protocol", "--kind", "rotate", "--n", "30", "--beta-prime", "1"]),
     "invert-target-a-string": (lambda: inversion_sequence_to_bias(QUBITS, 1.0, "x"),
                                DomainError, None),
     "local-beta-bias-a-string": (lambda: local_beta_for_bias(QUBITS, "x"), DomainError, None),

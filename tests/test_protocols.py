@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergokit import (
     DomainError,
+    core,
     families,
     protocols,
     SystemSpec,
@@ -270,10 +271,11 @@ def test_shell_chain_builds_no_basis_vector_before_its_state(monkeypatch):
     def refused(*args):
         raise AssertionError("the chain built a 2^n vector")
 
-    # the record's own expansion, for the bias measured at the end, goes through core
-    for module in (families, protocols):
+    # the bias measured at the end is a class sum: nothing expands the record
+    for module in (core, families, protocols):
         monkeypatch.setattr(module, "_hamming_weights", refused)
-    monkeypatch.setattr(protocols, "product_thermal_state", refused)
+    monkeypatch.setattr(families, "product_thermal_state", refused)
+    assert not hasattr(protocols, "product_thermal_state")  # nor a name of its own for it
     spec = SystemSpec.qubits(10, 1.0)
     result = inversion_sequence_to_bias(spec, 1.0, -0.3 * thermal_params(spec, 1.0).bias)
     assert result.levels

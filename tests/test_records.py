@@ -1,14 +1,17 @@
 """States stored by class, and the level tables their energies are read against.
 
-The separable, entangled and fixed-entropy states are records of class
-populations and blocks; each quantity read from the record equals the
-same quantity of its expanded parts, and the expanded parts equal the
-full-basis vectors the constructors used to build.  A spec passed as the
-Hamiltonian is read as its level table, and gives what its basis energy
-vector gives.
+The separable, entangled and fixed-entropy states, the inversion chain
+and the pair-rotated product are records of class populations and
+blocks; each quantity read from the record equals the same quantity of
+its expanded parts, and the expanded parts equal the full-basis vectors
+the constructors used to build.  A spec passed as the Hamiltonian is
+read as its level table, kept on the spec, and gives what its basis
+energy vector gives.
 """
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,24 +25,31 @@ from ergokit import (
     ShapeError,
     SystemSpec,
     UnsupportedError,
+    apply_unitary,
     build_hamiltonian,
     cli,
     core,
     diagonal_state_at_entropy,
     ergotropy,
+    families,
     free_energy,
     inversion_sequence_to_bias,
     is_passive,
+    measure_bias,
     min_pt_eigenvalue,
+    pair_rotation_unitary,
     passive_state,
+    prepare_locally_thermal,
     product_thermal_state,
+    protocols,
     state_eigenvalues,
     thermal_params,
     von_neumann_entropy,
 )
 from ergokit.core import _hamming_weights, _Levels, _marginals, _Parts
+from ergokit.passivity import _level_table
 from ergokit.verify import random_density_matrix
-from dense_oracle import gibbs_weighted_superposition
+from dense_oracle import dense_partial_trace, gibbs_weighted_superposition
 from strategies import BETAS, specs
 
 # largest full basis drawn for qudits, so a qudit draw stays a small state
@@ -187,6 +197,8 @@ def states_of(spec: SystemSpec, seed: int) -> list:
             pass  # n = 1, qudits, or a target the family does not reach (ROADMAP item 5)
     if spec.d == 2:
         states.append(inversion_sequence_to_bias(spec, 1.0, 0.0).state)
+        states.append(prepare_locally_thermal(spec, 1.0, 0.3 * thermal_params(spec, 1.0).bias)
+                      .state)
     states.append(random_density_matrix(np.random.default_rng(seed), spec.dim))
     return states
 
@@ -253,3 +265,117 @@ def test_a_spec_as_the_hamiltonian_fills_the_bounds_as_spec_does():
         == ergotropy(rho, ham, hotter).bound_total_energy \
         != ergotropy(rho, spec).bound_total_energy
     assert ergotropy(rho, ham).bound_total_energy is None
+
+
+def test_a_spec_keeps_its_level_classes():
+    spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 1.7), beta=0.9)
+    rho = cli.build_family_state(spec, "separable")
+    levels = _level_table(rho, spec)
+    again = _level_table(rho, spec)
+    assert spec._levels == (levels.energies, levels.sizes)
+    assert again.energies is levels.energies and again.sizes is levels.sizes
+    assert not levels.energies.flags.writeable and not levels.sizes.flags.writeable
+    # not a field: a replaced spec is equal, hashes alike and computes its own
+    replaced = dataclasses.replace(spec)
+    assert replaced == spec and hash(replaced) == hash(spec) and repr(replaced) == repr(spec)
+    assert replaced._levels is None
+    assert _level_table(rho, replaced).energies is not levels.energies
+    # computed only after the dimension check
+    other = SystemSpec.qubits(3, 0.9)
+    with pytest.raises(ShapeError):
+        _level_table(rho, other)
+    assert other._levels is None
+    # the spec refers to no table, which refers to it: freed with its last reference
+    gone = weakref.ref(spec)
+    del spec, levels, again, rho
+    assert gone() is None
+
+
+# ---------------------------------------------------------------------------
+# the pair-rotated product, and the class-sum marginals of every record
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), beta_prime=st.sampled_from([0.0, 30.0]) | st.floats(0.0, 30.0),
+       fraction=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0))
+@example(n=12, beta_prime=1.0, fraction=0.3)
+@example(n=11, beta_prime=30.0, fraction=-1.0)
+@example(n=10, beta_prime=0.0, fraction=0.0)
+@example(n=1, beta_prime=2.0, fraction=0.5)
+def test_the_rotated_record_equals_the_rotated_product(n, beta_prime, fraction):
+    spec = SystemSpec.qubits(n, 1.0)
+    result = prepare_locally_thermal(spec, beta_prime,
+                                     fraction * thermal_params(spec, beta_prime).bias)
+    rho = result.state
+    assert rho._record is not None
+    oracle = apply_unitary(product_thermal_state(spec, beta_prime),
+                           pair_rotation_unitary(spec, result.angle))
+
+    def near(a, b):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    # the expanded parts hold the oracle's pairs, rows ascending, in its order
+    near(rho.populations, oracle.populations)
+    (index, values), = rho.groups
+    (oracle_index, oracle_values), = oracle.groups
+    np.testing.assert_array_equal(index, oracle_index)
+    near(values, oracle_values)
+    if spec.dim <= 1024:
+        near(rho.entries, oracle.entries)
+    near(state_eigenvalues(rho), state_eigenvalues(oracle))
+    near(von_neumann_entropy(rho), von_neumann_entropy(oracle))
+    ham = build_hamiltonian(spec)
+    expected = ergotropy(oracle, ham)
+    for report in (ergotropy(rho, spec), ergotropy(rho, ham)):
+        for field in ("initial_energy", "passive_energy", "ergotropy"):
+            near(getattr(report, field), getattr(expected, field))
+    sites = range(1, n + 1)
+    near(_marginals(rho, spec, sites), _marginals(oracle, spec, sites))
+    near([measure_bias(rho, spec, site) for site in sites],
+         [measure_bias(oracle, spec, site) for site in sites])
+    if n >= 2:
+        split = Bipartition.half_split(n)
+        near(min_pt_eigenvalue(rho, spec, split), min_pt_eigenvalue(oracle, spec, split))
+
+
+def test_prepare_locally_thermal_builds_and_sorts_no_basis_vector(monkeypatch):
+    def refused(*args):
+        raise AssertionError("built a 2^n vector")
+
+    spec = SystemSpec.qubits(12, 1.0)
+    refuse_basis_energies(monkeypatch, spec.dim)
+    monkeypatch.setattr(families, "product_thermal_state", refused)
+    monkeypatch.setattr(core, "apply_unitary", refused)
+    for module in (core, protocols):
+        monkeypatch.setattr(module, "_hamming_weights", refused)
+    # nor names of their own for the product or the rotation
+    assert not hasattr(protocols, "product_thermal_state")
+    assert not hasattr(protocols, "apply_unitary")
+    result = prepare_locally_thermal(spec, 1.0, -0.3)
+    assert result.state._record is not None and result.residual <= 1e-15
+
+
+def record_states(n: int) -> list:
+    """(state, spec) for every record kind defined at n: entangled and separable at d = 2
+    and 3 (d = 3 up to n = 6), fixed-entropy, the inversion chain and the rotated product."""
+    qubits = SystemSpec.qubits(n, 0.8)
+    states = [(inversion_sequence_to_bias(qubits, 1.3, -0.2).state, qubits),
+              (prepare_locally_thermal(qubits, 1.3, -0.2).state, qubits),
+              (prepare_locally_thermal(qubits, 0.4, 0.1).state, qubits)]
+    if n >= 2:
+        local = thermal_params(qubits).entropy
+        states.append((diagonal_state_at_entropy(qubits, 1.05 * local)[0], qubits))
+        qutrits = SystemSpec(n=n, d=3, local_energies=(0.0, 1.0, 1.7), beta=0.8)
+        for spec in (qubits, qutrits) if n <= 6 else (qubits,):
+            states += [(cli.build_family_state(spec, family), spec)
+                       for family in ("entangled", "separable")]
+    return states
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_record_marginals_are_the_dense_partial_trace(n):
+    for rho, spec in record_states(n):
+        assert rho._record is not None
+        sites = range(1, n + 1)
+        expected = np.stack([dense_partial_trace(rho.entries, spec, site) for site in sites])
+        np.testing.assert_allclose(_marginals(rho, spec, sites), expected, rtol=0.0, atol=1e-15)

@@ -39,14 +39,8 @@ from ergokit import (
 )
 from ergokit import analysis, cli, core
 from ergokit.verify import random_density_matrix
+from dense_oracle import dense_partial_trace
 from strategies import specs, structured_states
-
-
-def dense_partial_trace(arr: np.ndarray, spec: SystemSpec, keep: int) -> np.ndarray:
-    d = spec.d
-    tensor = arr.reshape(d ** (keep - 1), d, d ** (spec.n - keep),
-                         d ** (keep - 1), d, d ** (spec.n - keep))
-    return np.trace(np.trace(tensor, axis1=0, axis2=3), axis1=1, axis2=3)
 
 
 def dense_rotation(arr: np.ndarray, unitary: StructuredUnitary) -> np.ndarray:
