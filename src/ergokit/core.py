@@ -79,11 +79,9 @@ class SystemSpec:
     d: int
     local_energies: tuple[float, ...]
     beta: float
-    # the Gibbs weights at beta, set by passivity.thermal_params on first use,
-    # and the level classes, set by _Levels.of_spec on first use; not fields,
-    # so equality, hash, repr and dataclasses.replace ignore them
+    # the Gibbs weights at beta, set by passivity.thermal_params on first use;
+    # not a field, so equality, hash, repr and dataclasses.replace ignore it
     _reference = None
-    _levels = None
 
     def __post_init__(self):
         if type(self.n) is not int or type(self.d) is not int or type(self.beta) is not float:
@@ -392,8 +390,8 @@ class DensityMatrix:
     are stored by class (a _Record) instead, and expanded into populations
     and groups on first access; their spectrum, energy and marginals are
     read from the classes.  A record's pair class is checked for
-    Hermiticity like any block, and each pair block's trace counts C(n, k)
-    times in the trace.
+    Hermiticity like any block, and its trace is the sum of its class
+    weights (_Record.classes), where each pair block counts C(n, k) times.
 
     Finite entries, Hermiticity, trace and populations (every one, or every
     class's, at least -1e-10) are verified at construction; positivity of
@@ -414,19 +412,19 @@ class DensityMatrix:
             trace, lowest = float(np.add.reduce(pops)), float(np.minimum.reduce(pops, initial=0.0))
             pops.setflags(write=False)
             self.populations, self.groups = pops, blocks
-        else:  # a few classes, summed in Python
-            trace, lowest = sum(record.pops), min(record.pops, default=0.0)
+        else:  # a few classes, summed in Python once their blocks are checked
+            lowest = min(record.pops, default=0.0)
             blocks, self.dim = record.blocks, record.spec.dim
+            if record.pairs is not None:
+                blocks = [*blocks, (None, record.pairs)]
         for index, values in blocks:
             _check_hermitian(values)
-            trace += float(values.diagonal(axis1=-2, axis2=-1).real.sum())
-            values.setflags(write=False)
             if record is None:
+                trace += float(values.diagonal(axis1=-2, axis2=-1).real.sum())
                 index.setflags(write=False)
-        if record is not None and record.pairs is not None:
-            _check_hermitian(record.pairs)
-            trace += float(record.pairs.trace(axis1=1, axis2=2).real @ record.copies)
-            record.pairs.setflags(write=False)
+            values.setflags(write=False)
+        if record is not None:
+            trace = math.fsum(w for w, _ in record.classes())
         if not abs(trace - 1.0) <= TRACE_TOL:  # a non-finite population fails here
             raise ValidityError(f"trace must be 1, got {trace!r}")
         if lowest < -PSD_TOL:
@@ -572,27 +570,6 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     return diag
 
 
-def _level_classes(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and sizes of a spec's level classes, energies ascending (_Levels.of_spec)."""
-    n = spec.n
-    if spec.d == 2:
-        sizes = np.array([math.comb(n, k) for k in range(n + 1)])
-        return np.arange(n + 1) * spec.energy_gap, sizes
-    fact = np.cumprod(np.maximum(np.arange(n + 1.0), 1.0))  # k!, exact while under 2^53
-    # level by level, each composition takes c = 0..left more subsystems
-    energy, weight, left, done = np.zeros(1), np.ones(1), np.array([n]), []
-    for level in spec.local_energies[1:]:
-        rows = np.repeat(np.arange(left.size), left + 1)
-        c = np.arange(rows.size) - np.searchsorted(rows, rows)
-        energy, weight, left = energy[rows] + c * level, weight[rows] * fact[c], left[rows] - c
-        done.append((energy[left == 0], weight[left == 0]))
-        energy, weight, left = energy[left > 0], weight[left > 0], left[left > 0]
-    energy = np.concatenate([energy] + [e for e, _ in done])
-    weight = np.concatenate([weight * fact[left]] + [w for _, w in done])
-    order = np.argsort(energy, kind="stable")
-    return energy[order], np.rint(fact[n] / weight[order]).astype(np.int64)
-
-
 class _Levels:
     """A diagonal Hamiltonian as a level table: classes of equal energy.
 
@@ -610,19 +587,24 @@ class _Levels:
 
     @classmethod
     def of_spec(cls, spec: SystemSpec) -> "_Levels":
-        """The classes of a spec: qubit shell k at index k; for qudits, level by level.
-
-        Their energies and sizes are computed on the first call and kept on
-        the spec, read-only (SystemSpec._levels).  The table refers to the
-        spec, so it is made on each call: kept on the spec, it would make a
-        reference cycle that only the cyclic garbage collector frees.
-        """
-        if spec._levels is None:
-            classes = _level_classes(spec)
-            for array in classes:
-                array.setflags(write=False)
-            object.__setattr__(spec, "_levels", classes)
-        return cls(*spec._levels, spec)
+        """The classes of a spec: qubit shell k at index k; for qudits, level by level."""
+        n = spec.n
+        if spec.d == 2:
+            return cls(np.arange(n + 1) * spec.energy_gap,
+                       np.array([math.comb(n, k) for k in range(n + 1)]), spec)
+        fact = np.cumprod(np.maximum(np.arange(n + 1.0), 1.0))  # k!, exact while under 2^53
+        # level by level, each composition takes c = 0..left more subsystems
+        energy, weight, left, done = np.zeros(1), np.ones(1), np.array([n]), []
+        for level in spec.local_energies[1:]:
+            rows = np.repeat(np.arange(left.size), left + 1)
+            c = np.arange(rows.size) - np.searchsorted(rows, rows)
+            energy, weight, left = energy[rows] + c * level, weight[rows] * fact[c], left[rows] - c
+            done.append((energy[left == 0], weight[left == 0]))
+            energy, weight, left = energy[left > 0], weight[left > 0], left[left > 0]
+        energy = np.concatenate([energy] + [e for e, _ in done])
+        weight = np.concatenate([weight * fact[left]] + [w for _, w in done])
+        order = np.argsort(energy, kind="stable")
+        return cls(energy[order], np.rint(fact[n] / weight[order]).astype(np.int64), spec)
 
     def ascending(self) -> np.ndarray:
         """The energy of every basis state, ascending."""

@@ -5,13 +5,10 @@ and the pair-rotated product are records of class populations and
 blocks; each quantity read from the record equals the same quantity of
 its expanded parts, and the expanded parts equal the full-basis vectors
 the constructors used to build.  A spec passed as the Hamiltonian is
-read as its level table, kept on the spec, and gives what its basis
-energy vector gives.
+read as its level table, and gives what its basis energy vector gives.
 """
 
-import dataclasses
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -47,7 +44,6 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit.core import _hamming_weights, _Levels, _marginals, _Parts
-from ergokit.passivity import _level_table
 from ergokit.verify import random_density_matrix
 from dense_oracle import dense_partial_trace, gibbs_weighted_superposition
 from strategies import BETAS, specs
@@ -265,30 +261,6 @@ def test_a_spec_as_the_hamiltonian_fills_the_bounds_as_spec_does():
         == ergotropy(rho, ham, hotter).bound_total_energy \
         != ergotropy(rho, spec).bound_total_energy
     assert ergotropy(rho, ham).bound_total_energy is None
-
-
-def test_a_spec_keeps_its_level_classes():
-    spec = SystemSpec(n=2, d=3, local_energies=(0.0, 1.0, 1.7), beta=0.9)
-    rho = cli.build_family_state(spec, "separable")
-    levels = _level_table(rho, spec)
-    again = _level_table(rho, spec)
-    assert spec._levels == (levels.energies, levels.sizes)
-    assert again.energies is levels.energies and again.sizes is levels.sizes
-    assert not levels.energies.flags.writeable and not levels.sizes.flags.writeable
-    # not a field: a replaced spec is equal, hashes alike and computes its own
-    replaced = dataclasses.replace(spec)
-    assert replaced == spec and hash(replaced) == hash(spec) and repr(replaced) == repr(spec)
-    assert replaced._levels is None
-    assert _level_table(rho, replaced).energies is not levels.energies
-    # computed only after the dimension check
-    other = SystemSpec.qubits(3, 0.9)
-    with pytest.raises(ShapeError):
-        _level_table(rho, other)
-    assert other._levels is None
-    # the spec refers to no table, which refers to it: freed with its last reference
-    gone = weakref.ref(spec)
-    del spec, levels, again, rho
-    assert gone() is None
 
 
 # ---------------------------------------------------------------------------
