@@ -79,9 +79,9 @@ def min_pt_eigenvalue(rho: DensityMatrix, spec: SystemSpec,
     i).  The nonzero moved entries link their two indices; each connected
     component is solved as one block, equal-size components in one stacked
     call, and every other index contributes its diagonal entry (0 where no
-    entry reaches it).  A caller's dense array with anything off its
-    diagonal is stored as one block (core.DensityMatrix), whose moved
-    entries are linked like those of any block.  Besides the component
+    entry reaches it).  A dense matrix (core.DensityMatrix) is read as its
+    one group over every index, whose moved entries are linked like those
+    of any block.  Besides the component
     blocks its arrays take O(dim + stored entries) bytes; raises
     CapacityError before the moved entries, or they and the component
     blocks, exceed core.DENSE_BYTES_MAX.
@@ -174,9 +174,11 @@ def bath_extractable_work(spec: SystemSpec, total_entropy: float) -> float:
 def mutual_information_multipartite(rho: DensityMatrix, spec: SystemSpec) -> float:
     """Sum of marginal entropies minus the global entropy.
 
-    Every single-site marginal comes from one walk over the parts and one
-    stacked eigensolve; a marginal eigenvalue below -1e-10 raises
-    ValidityError, as it does for any state.
+    Every single-site marginal comes from core._marginals (class sums for a
+    record, a reshaped partial trace for a dense matrix, one walk over the
+    parts otherwise), and all of them from one stacked eigensolve; a
+    marginal eigenvalue below -1e-10 raises ValidityError, as it does for
+    any state.
     """
     spectra = np.sort(_stack_eigenvalues(_marginals(rho, spec, range(1, spec.n + 1))))
     marginal_total = 0.0

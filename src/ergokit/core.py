@@ -4,17 +4,19 @@ Hamming weights, Hamiltonian construction, partial trace, spectrum,
 entropy and unitary application for systems of n identical d-level
 subsystems with a non-interacting total Hamiltonian.
 
-A state is stored as populations plus coherence blocks: the diagonal of
-every basis index outside a block, and dense Hermitian blocks on
-disjoint index sets.  The product and shell-inverted states hold O(dim)
-numbers this way and the Dicke mixture one block per excitation shell, a
-single number broadcast over the block; the separable, entangled and
-fixed-entropy states, the inversion chain and the pair-rotated product
-are records of a few class populations, blocks or 2 x 2 pair blocks
-(_Record), read against energy levels by class (_Levels), with marginals
-summed by class.  A caller's dense array is its populations, or one
-block if anything lies off its diagonal.  The spectrum is solved block
-by block and cached on the state, so each state is solved once.
+A state is stored in one of three forms.  Populations plus coherence
+blocks hold the diagonal of every basis index outside a block and dense
+Hermitian blocks on disjoint index sets: the product and shell-inverted
+states hold O(dim) numbers this way and the Dicke mixture one block per
+excitation shell, a single number broadcast over the block.  One dense
+matrix over every index holds a caller's array with anything off its
+diagonal, a dense unitary's product and a marginal; its marginals are a
+reshaped partial trace, its spectrum one eigensolve.  The separable,
+entangled and fixed-entropy states, the inversion chain and the
+pair-rotated product are records of a few class populations, blocks or
+2 x 2 pair blocks (_Record), read against energy levels by class
+(_Levels), with marginals summed by class.  The spectrum is cached on the
+state, so each state is solved once.
 
 Conventions
 -----------
@@ -346,23 +348,46 @@ class _Record:
         return _Parts(pops, groups)
 
 
-def _single_block(arr: np.ndarray) -> _Parts:
-    """Parts of a dense matrix: one block over every index."""
-    dim = arr.shape[0]
-    return _Parts(np.zeros(dim), [(np.arange(dim)[None], arr[None])])
+class _Dense:
+    """One dense matrix over every index, which DensityMatrix adopts as it is."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
 
 
-def _dense_parts(arr: np.ndarray) -> _Parts:
-    """Parts of a copy of a caller's dense matrix: its populations, or one block.
+def _single_block(arr: np.ndarray) -> _Dense:
+    """A dense matrix built inside the package, as one block over every index."""
+    return _Dense(arr)
 
-    An array with a nonzero entry off its diagonal (NaN counts) is one block
-    over every index, and so is one whose first row has no zero, which is
-    read first; any other array's diagonal, tested for Hermiticity, is the
-    populations, without a dim x dim temporary.
+
+def _off_diagonal_nonzero(arr: np.ndarray, diag: np.ndarray) -> bool:
+    """Whether an entry off a square array's diagonal is nonzero (NaN counts), without a
+    dim x dim temporary.
+
+    In a C- or Fortran-ordered array the entries between two diagonal ones
+    are contiguous, so they form one strided (dim - 1, dim) view, read by
+    any; count_nonzero, called once on the array and once on its diagonal,
+    costs less on up to 16 x 16 entries, and reads any other layout.
     """
     dim = arr.shape[0]
-    diag = arr.diagonal()
-    if np.count_nonzero(arr[:1]) == dim or np.count_nonzero(arr) != np.count_nonzero(diag):
+    if dim > 16 and (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        flat = (arr if arr.flags.c_contiguous else arr.T).reshape(-1)
+        return bool(flat[1:].reshape(dim - 1, dim + 1)[:, :dim].any())
+    return np.count_nonzero(arr) != np.count_nonzero(diag)
+
+
+def _dense_parts(arr: np.ndarray) -> "_Parts | _Dense":
+    """A copy of a caller's dense matrix: its populations, or the whole matrix.
+
+    An array with a nonzero entry off its diagonal (NaN counts) is kept
+    whole (_Dense), and so is one whose first row has no zero, which is
+    read first; any other array's diagonal, tested for Hermiticity, is the
+    populations.  Neither test builds a dim x dim temporary.
+    """
+    dim, diag = arr.shape[0], arr.diagonal()
+    if np.count_nonzero(arr[:1]) == dim or _off_diagonal_nonzero(arr, diag):
         return _single_block(arr.copy())
     with np.errstate(invalid="ignore"):  # inf - inf: the NaN defect fails the test below
         defect = float(np.abs(diag - diag.conj()).max(initial=0.0))
@@ -372,19 +397,23 @@ def _dense_parts(arr: np.ndarray) -> _Parts:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace operator on the global space, stored in parts or by class.
+    """Hermitian, unit-trace operator on the global space: parts, one matrix or classes.
 
     populations is the diagonal of every index outside a block (zero at
     block indices).  groups is a tuple of (index, values) pairs: index has
     shape (m, k) with ascending rows, values has shape (m, k, k), and all
     blocks are disjoint.  values may be a read-only broadcast view (the
     Dicke mixture stores one number per shell block), so no reader writes
-    into it, and none copies a group whole, except to build a new state.  A
-    dense array given by a caller is copied into its populations when
-    nothing lies off its diagonal, and otherwise into one block over every
-    index (_dense_parts).  entries is the dense matrix, assembled from the
-    parts on each access (read-only); it raises CapacityError over
-    DENSE_BYTES_MAX.
+    into it, and none copies a group whole, except to build a new state.
+
+    A dense array given by a caller is copied into its populations when
+    nothing lies off its diagonal, and otherwise kept whole as one
+    read-only dim x dim matrix (_dense_parts), as are a dense unitary's
+    product and a marginal.  entries is that matrix itself; its diagonal,
+    spectrum and marginals are read from it, and its populations (zeros)
+    and its one group over every index, a view of it, are derived on first
+    access.  For parts, entries is assembled on each access (read-only);
+    in every form it raises CapacityError over DENSE_BYTES_MAX.
 
     The permutation-invariant states that the families and protocols build
     are stored by class (a _Record) instead, and expanded into populations
@@ -393,21 +422,30 @@ class DensityMatrix:
     Hermiticity like any block, and its trace is the sum of its class
     weights (_Record.classes), where each pair block counts C(n, k) times.
 
-    Finite entries, Hermiticity, trace and populations (every one, or every
-    class's, at least -1e-10) are verified at construction; positivity of
-    the blocks is verified wherever eigenvalues are computed (eigenvalues
-    below -1e-10 raise; smaller negative ones are kept as they are, and the
-    entropy skips them).  States compare and hash by identity.
+    Finite entries, Hermiticity, trace and populations (every one, every
+    class's, or every diagonal entry of a dense matrix, at least -1e-10)
+    are verified at construction; positivity of the blocks is verified
+    wherever eigenvalues are computed (eigenvalues below -1e-10 raise;
+    smaller negative ones are kept as they are, and the entropy skips
+    them).  States compare and hash by identity.
     """
 
     def __init__(self, entries):
-        record = entries if isinstance(entries, _Record) else None
-        if record is None and not isinstance(entries, _Parts):
+        form = type(entries)
+        if form is not _Parts and form is not _Record and form is not _Dense:
             arr = _array(entries, complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ShapeError(f"density matrix must be square, got shape {arr.shape}")
             entries = _dense_parts(arr)
-        if record is None:
+            form = type(entries)
+        record = entries if form is _Record else None
+        dense = entries.matrix if form is _Dense else None
+        if dense is not None:
+            _check_hermitian(dense)
+            diag, blocks, self.dim = dense.diagonal().real, (), dense.shape[0]
+            trace, lowest = float(diag.sum()), float(np.minimum.reduce(diag, initial=0.0))
+            dense.setflags(write=False)
+        elif record is None:
             pops, blocks, self.dim = entries.populations, entries.groups, entries.populations.size
             trace, lowest = float(np.add.reduce(pops)), float(np.minimum.reduce(pops, initial=0.0))
             pops.setflags(write=False)
@@ -429,13 +467,20 @@ class DensityMatrix:
             raise ValidityError(f"trace must be 1, got {trace!r}")
         if lowest < -PSD_TOL:
             raise ValidityError(f"state has population {lowest:.3e} below -{PSD_TOL}")
-        self._record, self._spectrum = record, None
+        self._record, self._dense, self._spectrum = record, dense, None
 
-    def __getattr__(self, name):  # a record's populations and groups, on first access
-        record = self.__dict__.get("_record")
-        if record is None or name not in ("populations", "groups"):
+    def __getattr__(self, name):  # the populations and groups of a record or a matrix
+        if name != "populations" and name != "groups":
             raise AttributeError(name)
-        parts = record.parts()
+        record, dense = self.__dict__.get("_record"), self.__dict__.get("_dense")
+        if record is not None:
+            parts = record.parts()
+        elif dense is None:
+            raise AttributeError(name)
+        else:
+            index = np.arange(self.dim)[None]
+            index.setflags(write=False)
+            parts = _Parts(np.zeros(self.dim), [(index, dense[None])])
         parts.populations.setflags(write=False)
         self.populations, self.groups = parts.populations, parts.groups
         return getattr(self, name)
@@ -443,6 +488,8 @@ class DensityMatrix:
     @property
     def entries(self) -> np.ndarray:
         _check_dense_size(self.dim)
+        if self._dense is not None:
+            return self._dense
         arr = np.zeros((self.dim, self.dim), dtype=complex)
         np.fill_diagonal(arr, self.populations)
         for index, values in self.groups:
@@ -452,6 +499,8 @@ class DensityMatrix:
 
     @property
     def diagonal(self) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense.diagonal().real.copy()
         diag = self.populations.copy()
         for index, values in self.groups:
             diag[index] = values.diagonal(axis1=1, axis2=2).real
@@ -636,11 +685,15 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
     links states that differ at every site.  At n = 1 the one pair is the
     site itself, so the marginal is read from the expanded parts, as for
     any other state: each diagonal sums the full diagonal pairwise.  An
-    off-diagonal entry sums, in row-major order, the block entries whose
-    two indices differ only in the kept digit; each block group is walked
-    once for as many sites as fit in _SLAB entries.  A group over _SLAB
-    entries goes one site at a time, and its blocks with no such pair
-    (every Dicke shell block) are dropped before the entry masks are built.
+    off-diagonal entry sums, in row-major order, the entries whose two
+    indices differ only in the kept digit.  A dense matrix, reshaped to
+    (left, d, right) x (left, d, right), gives them as one view, its
+    (left right, d, d) copy summed over its first axis; a block group is
+    walked once for as many sites as fit in _SLAB entries.  A group over
+    _SLAB entries goes one site at a time, and its blocks with no such
+    pair (every Dicke shell block) are dropped before the entry masks are
+    built.  Both orders add the same terms one by one, so a dense matrix
+    and the same matrix as one block give the same bytes.
     """
     if rho.dim != spec.dim:
         raise ShapeError(f"state dimension {rho.dim} does not match spec dimension {spec.dim}")
@@ -653,10 +706,16 @@ def _marginals(rho: DensityMatrix, spec: SystemSpec, sites) -> np.ndarray:
         levels = [math.fsum(w * c[a] / n for w, c in classes) for a in range(d)]
         out[:, range(d), range(d)] = levels
         return out
-    diag = rho.diagonal
+    diag, dense = rho.diagonal, rho._dense
     for marginal, right in zip(out, rights.tolist()):
+        if dense is not None:  # 0 + the sum, as the group walk's np.add.at adds to 0
+            left = rho.dim // (d * right)
+            pairs = np.einsum("aibajb->abij", dense.reshape(left, d, right, left, d, right))
+            marginal += pairs.reshape(-1, d, d).sum(axis=0)
         by_digit = diag.reshape(-1, d, right).transpose(1, 0, 2).reshape(d, -1)
         np.fill_diagonal(marginal, by_digit.sum(axis=1))
+    if dense is not None:
+        return out
     flat = out.reshape(-1)
     for index, values in rho.groups:
         step = max(1, _SLAB // max(1, values.size))
@@ -781,14 +840,16 @@ def state_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Eigenvalues of a density matrix, sorted descending, as a read-only array.
 
     The populations outside blocks are eigenvalues as they are; each block
-    group is solved in one stacked call; a state stored by class repeats
-    each class's and block's values by multiplicity.  Solved on the first call and
-    cached on the state, so entropy, ergotropy and the passive state of one
-    state share one solve.
+    group is solved in one stacked call, and a dense matrix in one call; a
+    state stored by class repeats each class's and block's values by
+    multiplicity.  Solved on the first call and cached on the state, so
+    entropy, ergotropy and the passive state of one state share one solve.
     """
     if rho._spectrum is None:
         if rho._record is not None:
             vals = rho._record.spectrum()
+        elif rho._dense is not None:
+            vals = np.sort(_stack_eigenvalues(rho._dense[None])[0])[::-1]
         else:
             vals = np.sort(_parts_eigenvalues(rho.populations, rho.groups))[::-1]
         if vals[-1] < -PSD_TOL:
@@ -862,8 +923,8 @@ def _rotate_parts(rho: DensityMatrix, unitary: StructuredUnitary) -> _Parts:
 def apply_unitary(rho: DensityMatrix, unitary) -> DensityMatrix:
     """Conjugate a state by a unitary: U rho U^dagger.
 
-    Accepts either a dense matrix (checked for unitarity; the state is
-    built densely and the result is one dense block) or a
+    Accepts either a dense matrix (checked for unitarity; the result is the
+    dense product, a new matrix) or a
     StructuredUnitary, whose pair rotations update the state's parts
     without a dense matrix.
     """

@@ -88,9 +88,13 @@ def random_density_matrix(rng, dim: int) -> DensityMatrix:
 
 
 def _random_density_array(rng, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """G G^dagger / its trace, G with standard normal real then imaginary parts."""
+    g = np.empty((dim, dim), dtype=complex)
+    g.real = rng.standard_normal((dim, dim))
+    g.imag = rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
-    return mat / mat.trace()
+    mat /= mat.trace()
+    return mat
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
